@@ -26,31 +26,38 @@ import argparse
 import json
 import sys
 
+from ..errors import NetworkError
 from .routing import ROUTINGS
 from .sweep import (SweepConfig, forced_congestion_blame, render_report,
                     run_sweep)
-from .topology import TOPOLOGY_KINDS
+from .topology import TOPOLOGY_KINDS, check_nodes
 
 
-def _csv(text: str, what: str, allowed=None):
+def _csv(parser, text: str, what: str, allowed=None):
     values = [v.strip() for v in text.split(",") if v.strip()]
     if not values:
-        raise SystemExit(f"empty {what} list")
+        parser.error(f"empty {what} list")
     if allowed is not None:
         for v in values:
             if v not in allowed:
-                raise SystemExit(f"unknown {what} {v!r} "
-                                 f"(choose from: {', '.join(allowed)})")
+                parser.error(f"unknown {what} {v!r} "
+                             f"(choose from: {', '.join(allowed)})")
     return tuple(values)
 
 
-def _csv_ints(text: str, what: str):
+def _node_counts(parser, text: str, topologies):
     try:
         values = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise SystemExit(f"bad {what} list {text!r}")
+        parser.error(f"bad node count list {text!r}")
     if not values:
-        raise SystemExit(f"empty {what} list")
+        parser.error("empty node count list")
+    for kind in topologies:
+        for n in values:
+            try:
+                check_nodes(kind, n)
+            except NetworkError as exc:
+                parser.error(f"--nodes: {exc}")
     return values
 
 
@@ -87,16 +94,20 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the full report as JSON")
     args = parser.parse_args(argv)
+    if args.elems < 1:
+        parser.error(f"--elems must be >= 1, got {args.elems}")
 
     if args.quick:
         cfg = SweepConfig(nodes=(16, 32), iterations=2, seed=args.seed,
                           routing=args.routing)
     else:
+        topologies = _csv(parser, args.topologies, "topology",
+                          TOPOLOGY_KINDS)
         cfg = SweepConfig(
-            topologies=_csv(args.topologies, "topology", TOPOLOGY_KINDS),
-            algorithms=_csv(args.algorithms, "algorithm",
+            topologies=topologies,
+            algorithms=_csv(parser, args.algorithms, "algorithm",
                             ("ring", "rh", "tree")),
-            nodes=_csv_ints(args.nodes, "node count"),
+            nodes=_node_counts(parser, args.nodes, topologies),
             elems_per_rank=args.elems, iterations=args.iterations,
             seed=args.seed, routing=args.routing)
 

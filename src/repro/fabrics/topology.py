@@ -25,6 +25,18 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
+#: Smallest rank count each topology kind is built for; every kind also
+#: needs a power of two.
+MIN_NODES = {"dragonfly": 16, "fat-tree": 8, "torus": 8}
+
+
+def check_nodes(kind: str, n: int) -> None:
+    """Raise :class:`NetworkError` unless ``n`` ranks can form ``kind``."""
+    if n < MIN_NODES[kind] or not _is_pow2(n):
+        raise NetworkError(f"{kind} needs a power-of-two N >= "
+                           f"{MIN_NODES[kind]}, got {n}")
+
+
 def _mix(*vals: int) -> int:
     """Deterministic integer hash (splitmix-style) for routing tie-breaks;
     ``hash()`` is salted per interpreter run and must never be used."""
@@ -183,8 +195,7 @@ def fat_tree(n: int) -> FatTreeTopology:
     smallest power of two >= cbrt(N), then leaves-per-pod and pods split
     the rest — N must be a power of two >= 8.
     """
-    if n < 8 or not _is_pow2(n):
-        raise NetworkError(f"fat-tree needs a power-of-two N >= 8, got {n}")
+    check_nodes("fat-tree", n)
     h = 1
     while h * h * h < n:
         h *= 2
@@ -235,8 +246,7 @@ def dragonfly(n: int) -> DragonflyTopology:
     are as square as possible; every distinct group pair gets exactly one
     global link, spread round-robin over the group's routers.
     """
-    if n < 16 or not _is_pow2(n):
-        raise NetworkError(f"dragonfly needs a power-of-two N >= 16, got {n}")
+    check_nodes("dragonfly", n)
     g = 1
     while g * g * g < n:            # aim for g ~ a ~ p
         g *= 2
@@ -286,8 +296,7 @@ def torus(n: int, dims: Optional[Tuple[int, ...]] = None) -> TorusTopology:
     Canonical derivation: a cube if N has an integer cube root >= 4,
     otherwise the most-square power-of-two 2D grid.
     """
-    if n < 8 or not _is_pow2(n):
-        raise NetworkError(f"torus needs a power-of-two N >= 8, got {n}")
+    check_nodes("torus", n)
     if dims is None:
         c = round(n ** (1 / 3))
         if c >= 4 and c * c * c == n:
@@ -335,4 +344,4 @@ def build_topology(kind: str, n: int, **params) -> Topology:
 
 __all__ = ["Edge", "FabricConfig", "DragonflyTopology", "FatTreeTopology",
            "Topology", "TorusTopology", "TOPOLOGY_KINDS", "build_topology",
-           "dragonfly", "fat_tree", "torus", "_mix"]
+           "check_nodes", "dragonfly", "fat_tree", "torus", "_mix"]

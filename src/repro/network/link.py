@@ -246,11 +246,9 @@ class NetLink:
             yield dst_inbox.put(packet)
 
         if extra_delay > 0.0:
-            self.sim.process(deliver_late(),
-                             name=f"{self.name}.deliver-late{packet.seq}")
+            self.sim.process(deliver_late())
         else:
-            self._last_delivery[endpoint] = self.sim.process(
-                deliver(), name=f"{self.name}.deliver{packet.seq}")
+            self._last_delivery[endpoint] = self.sim.process(deliver())
 
     def release_credit(self, consumer_side: int, packet: Packet,
                        vc: Optional[int] = None) -> None:

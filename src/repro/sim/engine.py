@@ -6,17 +6,20 @@ changes happen inside event callbacks, which in practice means inside
 coroutine *processes* (:mod:`repro.sim.process`).
 
 Determinism: ties in time are broken by a monotonically increasing sequence
-number, so two runs of the same model produce identical schedules.
+number, so two runs of the same model produce identical schedules.  Every
+event is pushed exactly once, keyed ``(time, seq)``, at the moment it is
+triggered; the run loop only pops.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from ..errors import DeadlockError, SimulationError
-from .event import Event, Timeout
+from .event import PROCESSED, Event, Timeout
+from .process import Process
 from .trace import NULL_TRACER, get_default_tracer
 
 
@@ -92,12 +95,10 @@ class Simulator:
         wall-clock: the default seed is 0.
     """
 
-    def __init__(self, trace: Optional[Callable[[float, str], None]] = None,
-                 tracer=None, seed: int = 0) -> None:
+    def __init__(self, tracer=None, seed: int = 0) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq: int = 0
-        self._trace = trace
         self._active_processes: int = 0
         #: Events processed since construction.  Deterministic for a given
         #: model + seed, which makes it the machine-independent proxy for
@@ -129,10 +130,8 @@ class Simulator:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value, name)
 
-    def process(self, generator: Generator, name: str = "") -> "Process":
+    def process(self, generator: Generator, name: str = "") -> Process:
         """Spawn a coroutine process (see :mod:`repro.sim.process`)."""
-        from .process import Process  # local import to avoid a cycle
-
         return Process(self, generator, name)
 
     def call_later(self, delay: float, fn: Callable[[], None],
@@ -150,12 +149,6 @@ class Simulator:
         ev.add_callback(handle._run)
         return handle
 
-    # -- scheduling -------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        when = self._now + delay
-        heapq.heappush(self._heap, (when, self._seq, event))
-        self._seq += 1
-
     # -- running ----------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')`` if none."""
@@ -166,13 +159,36 @@ class Simulator:
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
         when, _seq, event = heapq.heappop(self._heap)
-        if when < self._now:  # pragma: no cover - guarded by _schedule
-            raise SimulationError("time went backwards")
         self._now = when
         self.events_processed += 1
-        if self._trace is not None:
-            self._trace(when, repr(event))
         event._run_callbacks()
+
+    def _drain(self, horizon: float, awaited: Sequence[Event] = ()) -> None:
+        """Process events in ``(time, seq)`` order while the next one is due
+        no later than ``horizon``.  With ``awaited``, return as soon as all
+        of those events are processed.
+
+        The loop body is :meth:`step` and :meth:`Event._run_callbacks`
+        inlined.  The completion check is a cursor over ``awaited``: an
+        event stays processed once it is, so each step looks at one event.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        i, n = 0, len(awaited)
+        while heap and heap[0][0] <= horizon:
+            if n:
+                while awaited[i]._state is PROCESSED:
+                    i += 1
+                    if i == n:
+                        return
+            when, _seq, event = pop(heap)
+            self._now = when
+            self.events_processed += 1
+            event._state = PROCESSED
+            callbacks = event.callbacks
+            event.callbacks = []
+            for cb in callbacks:
+                cb(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or simulated time reaches ``until``.
@@ -185,11 +201,7 @@ class Simulator:
         """
         if until is not None and until < self._now:
             raise SimulationError(f"until={until!r} is in the past (now={self._now!r})")
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self._now = until
-                return
-            self.step()
+        self._drain(float("inf") if until is None else until)
         if until is not None:
             self._now = until
         elif self._active_processes > 0:
@@ -201,19 +213,20 @@ class Simulator:
         """Run until every event in ``events`` has been processed.
 
         ``limit`` bounds simulated time; exceeding it raises
-        :class:`SimulationError` (useful to catch livelocks in tests).
+        :class:`SimulationError` (useful to catch livelocks in tests) and
+        leaves the next event on the heap, unprocessed.
         """
         if not events:
             raise SimulationError("run_until_complete() needs at least one event")
-        while not all(e.processed for e in events):
-            if not self._heap:
-                raise DeadlockError(
-                    "schedule drained before awaited events completed: "
-                    + ", ".join(repr(e) for e in events if not e.processed)
-                )
-            if limit is not None and self._heap[0][0] > limit:
-                raise SimulationError(f"simulated time limit {limit!r}s exceeded")
-            self.step()
+        self._drain(float("inf") if limit is None else limit, events)
+        waiting = [e for e in events if e._state is not PROCESSED]
+        if not waiting:
+            return
+        if not self._heap:
+            raise DeadlockError(
+                "schedule drained before awaited events completed: "
+                + ", ".join(repr(e) for e in waiting))
+        raise SimulationError(f"simulated time limit {limit!r}s exceeded")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:g} queued={len(self._heap)}>"

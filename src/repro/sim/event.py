@@ -4,11 +4,17 @@ An :class:`Event` starts *pending*, is *triggered* exactly once (either
 succeeded with a value or failed with an exception), and then runs its
 callbacks when the simulator processes it.  Processes wait on events by
 ``yield``-ing them; see :mod:`repro.sim.process`.
+
+Events are the simulator's hot path, so the state checks below compare
+against the module-level state constants instead of looking up enum
+members or properties, and an event's default name is only formatted when
+something asks for it (``repr``).
 """
 
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
@@ -23,6 +29,11 @@ class EventState(enum.Enum):
     PROCESSED = "processed"  # callbacks have run
 
 
+PENDING = EventState.PENDING
+TRIGGERED = EventState.TRIGGERED
+PROCESSED = EventState.PROCESSED
+
+
 class Event:
     """A one-shot occurrence at a point in simulated time.
 
@@ -31,18 +42,26 @@ class Event:
     sim:
         The owning simulator.  Events are bound to exactly one simulator.
     name:
-        Optional label used by tracing and ``repr``.
+        Optional label used by ``repr``.  Subclasses derive a default label
+        on demand (:meth:`_default_name`) when none is given.
     """
 
-    __slots__ = ("sim", "name", "_state", "_value", "_ok", "callbacks")
+    __slots__ = ("sim", "_name", "_state", "_value", "_ok", "callbacks")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.name = name
-        self._state = EventState.PENDING
+        self._name = name
+        self._state = PENDING
         self._value: Any = None
         self._ok: Optional[bool] = None
         self.callbacks: List[Callable[["Event"], None]] = []
+
+    @property
+    def name(self) -> str:
+        return self._name or self._default_name()
+
+    def _default_name(self) -> str:
+        return ""
 
     # -- state inspection ---------------------------------------------------
     @property
@@ -51,15 +70,15 @@ class Event:
 
     @property
     def pending(self) -> bool:
-        return self._state is EventState.PENDING
+        return self._state is PENDING
 
     @property
     def triggered(self) -> bool:
-        return self._state is not EventState.PENDING
+        return self._state is not PENDING
 
     @property
     def processed(self) -> bool:
-        return self._state is EventState.PROCESSED
+        return self._state is PROCESSED
 
     @property
     def ok(self) -> bool:
@@ -71,7 +90,7 @@ class Event:
     @property
     def value(self) -> Any:
         """The success value or the failure exception."""
-        if self._state is EventState.PENDING:
+        if self._state is PENDING:
             raise SimulationError(f"{self!r} has no value yet")
         return self._value
 
@@ -90,18 +109,23 @@ class Event:
         return self
 
     def _trigger(self, ok: bool, value: Any, delay: float) -> None:
-        if self._state is not EventState.PENDING:
+        """Mark the event triggered and push it onto the simulator's heap
+        at ``(now + delay, next sequence number)``."""
+        if self._state is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if delay < 0.0:
             raise SimulationError(f"negative delay: {delay!r}")
-        self._state = EventState.TRIGGERED
+        self._state = TRIGGERED
         self._ok = ok
         self._value = value
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (sim._now + delay, seq, self))
 
     def _run_callbacks(self) -> None:
         """Called by the simulator when the event's time arrives."""
-        self._state = EventState.PROCESSED
+        self._state = PROCESSED
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
@@ -109,14 +133,31 @@ class Event:
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Register ``cb`` to run when the event is processed.  If the event
         was already processed the callback runs immediately."""
-        if self._state is EventState.PROCESSED:
+        if self._state is PROCESSED:
             cb(self)
         else:
             self.callbacks.append(cb)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = f" {self.name!r}" if self.name else ""
+    def __repr__(self) -> str:
+        name = self.name
+        label = f" {name!r}" if name else ""
         return f"<{type(self).__name__}{label} {self._state.value}>"
+
+
+class OpEvent(Event):
+    """An event that ``owner`` (a resource, store or process) creates for
+    operation ``op``.  Its default name, ``"<op>:<owner name>"``, is
+    formatted only when asked for."""
+
+    __slots__ = ("_owner", "_op")
+
+    def __init__(self, owner: Any, op: str) -> None:
+        super().__init__(owner.sim)
+        self._owner = owner
+        self._op = op
+
+    def _default_name(self) -> str:
+        return f"{self._op}:{self._owner.name}"
 
 
 class Timeout(Event):
@@ -129,6 +170,9 @@ class Timeout(Event):
                  name: str = "") -> None:
         if delay < 0.0:
             raise SimulationError(f"negative timeout: {delay!r}")
-        super().__init__(sim, name or f"timeout({delay:g})")
+        super().__init__(sim, name)
         self.delay = delay
-        self.succeed(value, delay=delay)
+        self._trigger(True, value, delay)
+
+    def _default_name(self) -> str:
+        return f"timeout({self.delay:g})"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Any, Generator, TYPE_CHECKING
 
 from ..errors import SimulationError
-from .event import Event
+from .event import PENDING, PROCESSED, Event, OpEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -40,20 +40,23 @@ class Process(Event):
                 f"process body must be a generator, got {type(generator).__name__} "
                 "(did you forget a 'yield'?)"
             )
-        super().__init__(sim, name or getattr(generator, "__name__", "process"))
+        super().__init__(sim, name)
         self._generator = generator
         self._waiting_on: Event | None = None
         sim._active_processes += 1
         # Kick off the coroutine via an immediately-scheduled event so that
         # process start order is deterministic and start happens *inside* the
         # event loop.
-        start = Event(sim, f"start:{self.name}")
+        start = OpEvent(self, "start")
         start.callbacks.append(self._resume)
         start.succeed()
 
+    def _default_name(self) -> str:
+        return getattr(self._generator, "__name__", "process")
+
     @property
     def is_alive(self) -> bool:
-        return self.pending
+        return self._state is PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -63,7 +66,7 @@ class Process(Event):
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished {self!r}")
         target = self._waiting_on
-        if target is not None and not target.processed:
+        if target is not None and target._state is not PROCESSED:
             # Detach from what we were waiting on; the event may still fire
             # later but we will ignore it.
             try:
@@ -71,7 +74,7 @@ class Process(Event):
             except ValueError:  # pragma: no cover - already detached
                 pass
         self._waiting_on = None
-        wake = Event(self.sim, f"interrupt:{self.name}")
+        wake = OpEvent(self, "interrupt")
         wake.callbacks.append(self._resume)
         wake.fail(Interrupt(cause))
 
@@ -79,10 +82,10 @@ class Process(Event):
     def _resume(self, trigger: Event) -> None:
         self._waiting_on = None
         try:
-            if trigger.ok:
-                nxt = self._generator.send(trigger.value)
+            if trigger._ok:
+                nxt = self._generator.send(trigger._value)
             else:
-                nxt = self._generator.throw(trigger.value)
+                nxt = self._generator.throw(trigger._value)
         except StopIteration as stop:
             self.sim._active_processes -= 1
             self.succeed(stop.value)
@@ -111,7 +114,10 @@ class Process(Event):
             self.fail(SimulationError("yielded an event from a different simulator"))
             return
         self._waiting_on = nxt
-        nxt.add_callback(self._resume)
+        if nxt._state is PROCESSED:
+            self._resume(nxt)
+        else:
+            nxt.callbacks.append(self._resume)
 
 
 def join_result(process: Process) -> Any:

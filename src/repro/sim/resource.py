@@ -11,7 +11,7 @@ from collections import deque
 from typing import Any, Deque, Generator, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
-from .event import Event
+from .event import Event, OpEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -49,7 +49,7 @@ class Resource:
 
     def acquire(self) -> Event:
         """An event that fires when a slot is granted to the caller."""
-        ev = self.sim.event(f"acquire:{self.name}")
+        ev = OpEvent(self, "acquire")
         if self._in_use < self.capacity:
             self._in_use += 1
             ev.succeed()
@@ -110,7 +110,7 @@ class Store:
         return len(self._getters)
 
     def put(self, item: Any) -> Event:
-        ev = self.sim.event(f"put:{self.name}")
+        ev = OpEvent(self, "put")
         if self._getters:
             # Hand straight to a waiting consumer.
             self._getters.popleft().succeed(item)
@@ -123,7 +123,7 @@ class Store:
         return ev
 
     def get(self) -> Event:
-        ev = self.sim.event(f"get:{self.name}")
+        ev = OpEvent(self, "get")
         if self._items:
             item = self._items.popleft()
             # A blocked producer can now deposit its item.

@@ -229,7 +229,10 @@ def main(argv=None) -> int:
                         help="write flight dumps and slo-report.json "
                              "under DIR")
     args = parser.parse_args(argv)
-    args.requests = args.requests or (10 if args.quick else 32)
+    if args.requests is None:
+        args.requests = 10 if args.quick else 32
+    elif args.requests < 1:
+        parser.error(f"--requests must be >= 1, got {args.requests}")
     workloads = args.workload or sorted(WORKLOADS)
     modes = args.mode or list(MODES)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator, Store
 
 
 def test_time_starts_at_zero():
@@ -143,10 +143,60 @@ def test_deterministic_schedules_across_runs():
     assert build_and_run() == build_and_run()
 
 
-def test_trace_hook_sees_every_event():
-    seen = []
-    sim = Simulator(trace=lambda t, desc: seen.append(t))
-    sim.timeout(1.0)
-    sim.timeout(2.0)
-    sim.run()
-    assert seen == [1.0, 2.0]
+def test_run_until_complete_events_finishing_out_of_order():
+    sim = Simulator()
+    done = sim.timeout(0.5)
+    sim.run(until=1.0)
+    assert done.processed
+    late, early, mid = sim.timeout(5.0), sim.timeout(1.0), sim.timeout(3.0)
+    after = sim.timeout(10.0)
+    sim.run_until_complete(late, done, early, mid)
+    assert sim.now == 6.0  # 1.0 + the latest awaited delay
+    assert late.processed and early.processed and mid.processed
+    assert not after.processed
+    assert sim.events_processed == 4
+
+
+def test_run_until_complete_limit_leaves_schedule_untouched():
+    sim = Simulator()
+    near = sim.timeout(1.0)
+    far = sim.timeout(10.0)
+    with pytest.raises(SimulationError, match="limit"):
+        sim.run_until_complete(near, far, limit=5.0)
+    assert near.processed and not far.processed
+    assert sim.peek() == 10.0
+    assert sim.now == 1.0
+    assert sim.events_processed == 1
+    sim.run_until_complete(far)
+    assert sim.now == 10.0
+
+
+def test_deadlock_message_lists_only_unprocessed_events():
+    sim = Simulator()
+    done = sim.timeout(1.0, name="finished-one")
+    never = sim.event("never-fires")
+    with pytest.raises(DeadlockError) as info:
+        sim.run_until_complete(done, never)
+    message = str(info.value)
+    assert "never-fires" in message
+    assert "finished-one" not in message
+
+
+def test_repr_derives_default_names():
+    sim = Simulator()
+    assert "'timeout(2.5)'" in repr(sim.timeout(2.5))
+    assert "'explicit'" in repr(sim.timeout(1.0, name="explicit"))
+
+    def body():
+        yield sim.timeout(1.0)
+
+    proc = sim.process(body(), name="worker")
+    start = max(sim._heap, key=lambda entry: entry[1])[2]  # pushed last
+    assert "'start:worker'" in repr(start)
+    assert "'body'" in repr(sim.process(body()))
+    assert proc.name == "worker"
+
+    store = Store(sim, capacity=1, name="mbox")
+    assert "'put:mbox'" in repr(store.put(1))
+    assert "'get:mbox'" in repr(store.get())
+    assert "'acquire:bus'" in repr(Resource(sim, name="bus").acquire())

@@ -79,3 +79,10 @@ def test_bad_selection_is_an_argparse_error(capsys):
         main(["--workload", "btree"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_zero_requests_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(QUICK + ["--requests", "0"])
+    assert exc.value.code == 2
+    assert "--requests must be >= 1" in capsys.readouterr().err
