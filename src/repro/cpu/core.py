@@ -96,8 +96,7 @@ class HostThread:
         # cost and moves on while the TLP is in flight.  The fabric's FIFO
         # links keep same-target ordering.
         yield self.sim.timeout(self.cpu.config.mmio_write_overhead)
-        self.sim.process(self.cpu.port.write(addr, data),
-                         name=f"cpu-posted-store@{addr:#x}")
+        self.sim.process(self.cpu.port.write(addr, data))
 
     def read_u64(self, addr: int) -> Generator:
         data = yield from self.read(addr, 8)

@@ -61,55 +61,64 @@ def _node_counts(parser, text: str, topologies):
     return values
 
 
+#: Values of the sweep flags left unset, and the ``--quick`` overrides.
+_DEFAULTS = {"topologies": ",".join(TOPOLOGY_KINDS),
+             "algorithms": "ring,rh,tree", "nodes": "64,128", "elems": 4,
+             "iterations": 3}
+_QUICK = {"nodes": "16,32", "iterations": 2}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro fabrics",
         description="Hierarchical scale-out fabrics: topology-aware "
                     "collectives, credit congestion, acceptance verdicts.")
-    parser.add_argument("--topologies", default=",".join(TOPOLOGY_KINDS),
+    parser.add_argument("--topologies", default=None,
                         help=f"comma-separated topology kinds (default: "
-                             f"{','.join(TOPOLOGY_KINDS)})")
-    parser.add_argument("--algorithms", default="ring,rh,tree",
+                             f"{_DEFAULTS['topologies']})")
+    parser.add_argument("--algorithms", default=None,
                         help="comma-separated all-reduce schedules "
-                             "(default: ring,rh,tree)")
-    parser.add_argument("--nodes", default="64,128",
+                             f"(default: {_DEFAULTS['algorithms']})")
+    parser.add_argument("--nodes", default=None,
                         help="comma-separated power-of-two rank counts "
-                             "(default: 64,128; the paper-scale run is "
-                             "64,128,256,512)")
-    parser.add_argument("--elems", type=int, default=4,
-                        help="vector elements per rank (default: 4)")
-    parser.add_argument("--iterations", type=int, default=3,
-                        help="measured rounds per point (default: 3)")
+                             f"(default: {_DEFAULTS['nodes']}; the "
+                             "paper-scale run is 64,128,256,512)")
+    parser.add_argument("--elems", type=int, default=None,
+                        help="vector elements per rank "
+                             f"(default: {_DEFAULTS['elems']})")
+    parser.add_argument("--iterations", type=int, default=None,
+                        help="measured rounds per point "
+                             f"(default: {_DEFAULTS['iterations']})")
     parser.add_argument("--routing", default="minimal", choices=ROUTINGS,
                         help="dragonfly inter-group routing "
                              "(default: minimal)")
     parser.add_argument("--seed", type=int, default=1,
                         help="simulator seed (default: 1)")
     parser.add_argument("--quick", action="store_true",
-                        help="small fixed sweep for CI smoke runs "
-                             "(N=16,32, 2 iterations)")
+                        help="small sweep for CI smoke runs (N=16,32, "
+                             "2 iterations); explicit flags still win")
     parser.add_argument("--force-congestion", action="store_true",
                         help="run ONLY the forced-congestion canary and "
                              "require blocked-on-credit in the blame")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the full report as JSON")
     args = parser.parse_args(argv)
+    # Presets fill only the flags left unset: explicit flags always win.
+    presets = {**_DEFAULTS, **(_QUICK if args.quick else {})}
+    for name, value in presets.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.elems < 1:
         parser.error(f"--elems must be >= 1, got {args.elems}")
 
-    if args.quick:
-        cfg = SweepConfig(nodes=(16, 32), iterations=2, seed=args.seed,
-                          routing=args.routing)
-    else:
-        topologies = _csv(parser, args.topologies, "topology",
-                          TOPOLOGY_KINDS)
-        cfg = SweepConfig(
-            topologies=topologies,
-            algorithms=_csv(parser, args.algorithms, "algorithm",
-                            ("ring", "rh", "tree")),
-            nodes=_node_counts(parser, args.nodes, topologies),
-            elems_per_rank=args.elems, iterations=args.iterations,
-            seed=args.seed, routing=args.routing)
+    topologies = _csv(parser, args.topologies, "topology", TOPOLOGY_KINDS)
+    cfg = SweepConfig(
+        topologies=topologies,
+        algorithms=_csv(parser, args.algorithms, "algorithm",
+                        ("ring", "rh", "tree")),
+        nodes=_node_counts(parser, args.nodes, topologies),
+        elems_per_rank=args.elems, iterations=args.iterations,
+        seed=args.seed, routing=args.routing)
 
     if args.force_congestion:
         share = forced_congestion_blame(cfg)

@@ -116,9 +116,10 @@ class ThreadCtx:
 
     # -- address classification -------------------------------------------------------
     def _classify(self, vaddr: int, size: int, write: bool) -> tuple[int, MemorySpace]:
-        phys = self.gpu.uva.translate(vaddr, size, write=write)
-        space = self.gpu.port.fabric.address_map.space_of(phys)
-        return phys, space
+        gpu = self.gpu
+        phys = gpu.uva.translate(vaddr, size, write=write)
+        target, _ = gpu.port.fabric.address_map.resolve(phys)
+        return phys, target.space
 
     # -- loads ------------------------------------------------------------------------
     def load(self, vaddr: int, size: int) -> Generator:
@@ -126,22 +127,23 @@ class ThreadCtx:
         if size <= 0:
             raise GpuError(f"non-positive load size {size}")
         gpu = self.gpu
-        gpu.counters.instructions_executed += 1
-        gpu.counters.memory_accesses += 1
-        phys, space = self._classify(vaddr, size, write=False)
+        counters = gpu.counters
+        counters.instructions_executed += 1
+        counters.memory_accesses += 1
+        phys, space = self._classify(vaddr, size, False)
         if space is MemorySpace.GPU_DRAM:
-            gpu.counters.global_load_accesses += max(1, (size + 7) // 8)
+            counters.global_load_accesses += (size + 7) // 8
             hits, misses = gpu.l2.read(phys, size)
-            gpu.counters.l2_read_requests += hits + misses
-            gpu.counters.l2_read_hits += hits
-            gpu.counters.l2_read_misses += misses
+            counters.l2_read_requests += hits + misses
+            counters.l2_read_hits += hits
+            counters.l2_read_misses += misses
             latency = gpu.config.l2_hit_latency if misses == 0 else gpu.config.dram_latency
             yield self.sim.timeout(latency)
             return gpu.dram.read(phys, size)
         # Host memory or MMIO: a PCIe round trip, stalling this thread.
         # In-flight uncached reads are bounded (MSHR-style); concurrent
         # pollers from many blocks serialize here.
-        gpu.counters.sysmem_read_transactions += _sectors(size)
+        counters.sysmem_read_transactions += _sectors(size)
         trc = self.sim.tracer
         traced = trc.wants("gpu.sysmem")
         span = (trc.begin("gpu.sysmem", "read", track=self.track,
@@ -179,28 +181,26 @@ class ThreadCtx:
         if not data:
             raise GpuError("empty store")
         gpu = self.gpu
-        gpu.counters.instructions_executed += 1
-        gpu.counters.memory_accesses += 1
-        phys, space = self._classify(vaddr, len(data), write=True)
+        counters = gpu.counters
+        counters.instructions_executed += 1
+        counters.memory_accesses += 1
+        size = len(data)
+        phys, space = self._classify(vaddr, size, True)
         if space is MemorySpace.GPU_DRAM:
-            gpu.counters.global_store_accesses += max(1, (len(data) + 7) // 8)
-            hits, misses = gpu.l2.write(phys, len(data))
-            gpu.counters.l2_write_requests += hits + misses
+            counters.global_store_accesses += (size + 7) // 8
+            hits, misses = gpu.l2.write(phys, size)
+            counters.l2_write_requests += hits + misses
             gpu.dram.write(phys, data)
             yield self.sim.timeout(gpu.config.instruction_time)
             return
-        gpu.counters.sysmem_write_transactions += _sectors(len(data))
+        counters.sysmem_write_transactions += _sectors(size)
         trc = self.sim.tracer
         if trc.wants("gpu.sysmem"):
             trc.instant("gpu.sysmem", "posted-store", track=self.track,
-                        addr=hex(phys), bytes=len(data))
+                        addr=hex(phys), bytes=size)
             trc.metrics.counter("gpu.sysmem_writes").inc()
         yield self.sim.timeout(gpu.config.sysmem_issue_overhead)
-        proc = self.sim.process(gpu.port.write(phys, data),
-                                name=f"posted-store@{vaddr:#x}")
-        self._outstanding_stores.append(proc)
-        # Drop references to completed stores so the list stays small.
-        self._outstanding_stores = [p for p in self._outstanding_stores if p.pending]
+        self._post(gpu.port.write(phys, data))
 
     def store_wide(self, vaddr: int, data: bytes) -> Generator:
         """A warp-coalesced store: the threads of a warp emit one wide
@@ -215,22 +215,31 @@ class ThreadCtx:
         if len(data) > 128:
             raise GpuError(f"wide store limited to 128 bytes, got {len(data)}")
         gpu = self.gpu
-        gpu.counters.instructions_executed += 1
-        gpu.counters.memory_accesses += 1
-        phys, space = self._classify(vaddr, len(data), write=True)
+        counters = gpu.counters
+        counters.instructions_executed += 1
+        counters.memory_accesses += 1
+        size = len(data)
+        phys, space = self._classify(vaddr, size, True)
         if space is MemorySpace.GPU_DRAM:
-            gpu.counters.global_store_accesses += max(1, (len(data) + 7) // 8)
-            hits, misses = gpu.l2.write(phys, len(data))
-            gpu.counters.l2_write_requests += hits + misses
+            counters.global_store_accesses += (size + 7) // 8
+            hits, misses = gpu.l2.write(phys, size)
+            counters.l2_write_requests += hits + misses
             gpu.dram.write(phys, data)
             yield self.sim.timeout(gpu.config.instruction_time)
             return
-        gpu.counters.sysmem_write_transactions += _sectors(len(data))
+        counters.sysmem_write_transactions += _sectors(size)
         yield self.sim.timeout(gpu.config.sysmem_issue_overhead)
-        proc = self.sim.process(gpu.port.write(phys, data),
-                                name=f"posted-wide-store@{vaddr:#x}")
-        self._outstanding_stores.append(proc)
-        self._outstanding_stores = [p for p in self._outstanding_stores if p.pending]
+        self._post(gpu.port.write(phys, data))
+
+    def _post(self, write: Generator) -> None:
+        """Run a posted PCIe write in the background, remembered for
+        :meth:`fence_system`."""
+        stores = self._outstanding_stores
+        stores.append(self.sim.process(write))
+        # Drop completed stores from the front so the list stays small (the
+        # newest store is still pending, so the loop stops at it).
+        while not stores[0].pending:
+            del stores[0]
 
     def store_u64(self, vaddr: int, value: int) -> Generator:
         yield from self.store(vaddr, (value & (2**64 - 1)).to_bytes(8, "little"))

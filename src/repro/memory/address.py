@@ -14,7 +14,8 @@ The conventional layout mirrors a real PCIe system:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from ..errors import AddressError
@@ -40,16 +41,14 @@ class AddressRange:
 
     base: int
     size: int
+    end: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base < 0:
             raise AddressError(f"negative base address {self.base:#x}")
         if self.size <= 0:
             raise AddressError(f"non-positive range size {self.size}")
-
-    @property
-    def end(self) -> int:
-        return self.base + self.size
+        object.__setattr__(self, "end", self.base + self.size)
 
     def contains(self, addr: int, length: int = 1) -> bool:
         return self.base <= addr and addr + length <= self.end
@@ -58,7 +57,7 @@ class AddressRange:
         return self.base < other.end and other.base < self.end
 
     def offset_of(self, addr: int) -> int:
-        if not self.contains(addr):
+        if not (self.base <= addr and addr + 1 <= self.end):
             raise AddressError(f"{addr:#x} outside {self}")
         return addr - self.base
 
@@ -87,29 +86,36 @@ class AddressMap:
 
     def __init__(self) -> None:
         self._entries: List[Tuple[AddressRange, object]] = []
+        # Ends of ``_entries``, sorted like the entries (mappings never
+        # overlap, so sorting by base also sorts by end).
+        self._ends: List[int] = []
 
     def add(self, target: object) -> None:
         rng: AddressRange = getattr(target, "range")
-        for existing, _ in self._entries:
-            if existing.overlaps(rng):
-                raise AddressError(f"mapping {rng} overlaps existing {existing}")
-        self._entries.append((rng, target))
-        self._entries.sort(key=lambda e: e[0].base)
+        i = bisect_right(self._ends, rng.base)
+        if i < len(self._entries) and self._entries[i][0].base < rng.end:
+            raise AddressError(
+                f"mapping {rng} overlaps existing {self._entries[i][0]}")
+        self._entries.insert(i, (rng, target))
+        self._ends.insert(i, rng.end)
 
     def resolve(self, addr: int, length: int = 1) -> Tuple[object, int]:
         """Return ``(target, offset_within_target)`` for an access."""
-        for rng, target in self._entries:
-            if rng.contains(addr, length):
-                return target, addr - rng.base
-            if rng.contains(addr) and not rng.contains(addr, length):
+        # The only candidate is the first mapping that ends past the
+        # access's first byte (past ``addr + length`` for ``length < 1``).
+        i = bisect_left(self._ends, addr + (1 if length > 0 else length))
+        if i < len(self._ends):
+            rng, target = self._entries[i]
+            if rng.base <= addr:
+                if addr + length <= rng.end:
+                    return target, addr - rng.base
                 raise AddressError(
                     f"access [{addr:#x}, {addr + length:#x}) straddles mapping {rng}"
                 )
         raise AddressError(f"unmapped physical address {addr:#x} (+{length})")
 
     def space_of(self, addr: int) -> MemorySpace:
-        target, _ = self.resolve(addr)
-        return getattr(target, "space")
+        return self.resolve(addr)[0].space
 
     def targets(self) -> List[object]:
         return [t for _, t in self._entries]

@@ -42,10 +42,11 @@ class ByteStore:
         return self._data[offset:offset + length].tobytes()
 
     def write(self, offset: int, data: bytes | bytearray | memoryview | np.ndarray) -> None:
-        buf = np.frombuffer(bytes(data), dtype=np.uint8) if not isinstance(data, np.ndarray) \
+        buf = np.frombuffer(data, dtype=np.uint8) if not isinstance(data, np.ndarray) \
             else data.astype(np.uint8, copy=False).ravel()
-        self._check(offset, len(buf))
-        self._data[offset:offset + len(buf)] = buf
+        n = len(buf)
+        self._check(offset, n)
+        self._data[offset:offset + n] = buf
 
     def view(self, offset: int, length: int) -> np.ndarray:
         """A zero-copy view (mutations write through)."""

@@ -68,43 +68,40 @@ class Cache:
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config or CacheConfig()
         self.stats = CacheStats()
+        # Geometry as plain ints: the per-sector math runs on every access.
+        self._line_bytes = self.config.line_bytes
+        self._num_sets = self.config.num_sets
+        self._ways = self.config.ways
         # One OrderedDict per set: tag -> True, LRU order = insertion order.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.config.num_sets)]
+        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self._num_sets)]
 
-    # -- address math -----------------------------------------------------------
-    def _locate(self, addr: int) -> tuple[int, int]:
-        line = addr // self.config.line_bytes
-        set_idx = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        return set_idx, tag
-
-    def _touch(self, set_idx: int, tag: int) -> bool:
-        """Return hit/miss and update LRU; fills on miss."""
-        s = self._sets[set_idx]
-        if tag in s:
-            s.move_to_end(tag)
-            return True
-        s[tag] = True
-        if len(s) > self.config.ways:
-            s.popitem(last=False)  # evict LRU
-        return False
-
-    def _sectors(self, addr: int, length: int) -> range:
-        first = addr // self.config.line_bytes
-        last = (addr + max(length, 1) - 1) // self.config.line_bytes
-        return range(first, last + 1)
+    def _access(self, addr: int, length: int) -> tuple[int, int]:
+        """Touch every sector of ``[addr, addr+length)`` (at least one) in
+        address order: a hit refreshes LRU, a miss fills and may evict.
+        Returns (hits, misses)."""
+        line_bytes = self._line_bytes
+        num_sets = self._num_sets
+        sets = self._sets
+        first = addr // line_bytes
+        last = (addr + (length if length > 1 else 1) - 1) // line_bytes
+        hits = 0
+        for line in range(first, last + 1):
+            s = sets[line % num_sets]
+            tag = line // num_sets
+            if tag in s:
+                s.move_to_end(tag)
+                hits += 1
+            else:
+                s[tag] = True
+                if len(s) > self._ways:
+                    s.popitem(last=False)  # evict LRU
+        return hits, last - first + 1 - hits
 
     # -- access API ---------------------------------------------------------------
     def read(self, addr: int, length: int) -> tuple[int, int]:
         """Access ``length`` bytes at ``addr``.  Returns (hits, misses) in
         sector units and updates stats."""
-        hits = misses = 0
-        for line in self._sectors(addr, length):
-            set_idx, tag = self._locate(line * self.config.line_bytes)
-            if self._touch(set_idx, tag):
-                hits += 1
-            else:
-                misses += 1
+        hits, misses = self._access(addr, length)
         self.stats.read_requests += hits + misses
         self.stats.read_hits += hits
         self.stats.read_misses += misses
@@ -112,13 +109,7 @@ class Cache:
 
     def write(self, addr: int, length: int) -> tuple[int, int]:
         """Write-allocate access; returns (hits, misses) in sector units."""
-        hits = misses = 0
-        for line in self._sectors(addr, length):
-            set_idx, tag = self._locate(line * self.config.line_bytes)
-            if self._touch(set_idx, tag):
-                hits += 1
-            else:
-                misses += 1
+        hits, misses = self._access(addr, length)
         self.stats.write_requests += hits + misses
         self.stats.write_hits += hits
         self.stats.write_misses += misses
@@ -127,17 +118,20 @@ class Cache:
     def invalidate(self, addr: int, length: int) -> int:
         """Drop any resident sectors overlapping the range (used when another
         PCIe agent DMA-writes device memory); returns sectors dropped."""
+        line_bytes, num_sets = self._line_bytes, self._num_sets
         dropped = 0
-        for line in self._sectors(addr, length):
-            set_idx, tag = self._locate(line * self.config.line_bytes)
-            if tag in self._sets[set_idx]:
-                del self._sets[set_idx][tag]
+        for line in range(addr // line_bytes,
+                          (addr + max(length, 1) - 1) // line_bytes + 1):
+            s = self._sets[line % num_sets]
+            tag = line // num_sets
+            if tag in s:
+                del s[tag]
                 dropped += 1
         return dropped
 
     def contains(self, addr: int) -> bool:
-        set_idx, tag = self._locate(addr)
-        return tag in self._sets[set_idx]
+        line = addr // self._line_bytes
+        return line // self._num_sets in self._sets[line % self._num_sets]
 
     @property
     def resident_sectors(self) -> int:

@@ -11,6 +11,7 @@ Used twice in the library:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,11 +28,6 @@ class Mapping:
     writable: bool = True
     label: str = ""
 
-    def translate(self, vaddr: int, length: int) -> int:
-        if not self.virtual.contains(vaddr, length):
-            raise TranslationError(f"{vaddr:#x}+{length} outside {self.virtual}")
-        return self.physical_base + (vaddr - self.virtual.base)
-
 
 class TranslationTable:
     """An ordered collection of non-overlapping virtual mappings."""
@@ -39,31 +35,38 @@ class TranslationTable:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._mappings: list[Mapping] = []
+        # Virtual ends of ``_mappings``, in the same (sorted) order.
+        self._ends: list[int] = []
 
     def map(self, virtual: AddressRange, physical_base: int, *,
             writable: bool = True, label: str = "") -> Mapping:
-        for m in self._mappings:
-            if m.virtual.overlaps(virtual):
-                raise TranslationError(
-                    f"{self.name}: new mapping {virtual} overlaps {m.virtual}"
-                )
+        i = bisect_right(self._ends, virtual.base)
+        if i < len(self._mappings) and self._mappings[i].virtual.base < virtual.end:
+            raise TranslationError(
+                f"{self.name}: new mapping {virtual} overlaps {self._mappings[i].virtual}"
+            )
         mapping = Mapping(virtual, physical_base, writable, label)
-        self._mappings.append(mapping)
-        self._mappings.sort(key=lambda m: m.virtual.base)
+        self._mappings.insert(i, mapping)
+        self._ends.insert(i, virtual.end)
         return mapping
 
     def unmap(self, virtual: AddressRange) -> None:
-        for i, m in enumerate(self._mappings):
-            if m.virtual == virtual:
-                del self._mappings[i]
-                return
+        i = bisect_right(self._ends, virtual.base)
+        if i < len(self._mappings) and self._mappings[i].virtual == virtual:
+            del self._mappings[i]
+            del self._ends[i]
+            return
         raise TranslationError(f"{self.name}: no mapping at {virtual}")
 
     def lookup(self, vaddr: int, length: int = 1) -> Mapping:
-        for m in self._mappings:
-            if m.virtual.contains(vaddr, length):
-                return m
-            if m.virtual.contains(vaddr) and not m.virtual.contains(vaddr, length):
+        # One candidate, as in AddressMap.resolve: the first mapping that
+        # ends past the access's first byte.
+        i = bisect_left(self._ends, vaddr + (1 if length > 0 else length))
+        if i < len(self._ends):
+            m = self._mappings[i]
+            if m.virtual.base <= vaddr:
+                if vaddr + length <= m.virtual.end:
+                    return m
                 raise TranslationError(
                     f"{self.name}: access {vaddr:#x}+{length} straddles {m.virtual}"
                 )
@@ -73,7 +76,7 @@ class TranslationTable:
         m = self.lookup(vaddr, length)
         if write and not m.writable:
             raise TranslationError(f"{self.name}: write to read-only {m.virtual}")
-        return m.translate(vaddr, length)
+        return m.physical_base + (vaddr - m.virtual.base)
 
     def try_translate(self, vaddr: int, length: int = 1) -> Optional[int]:
         try:

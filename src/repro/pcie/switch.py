@@ -21,14 +21,14 @@ degraded bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from ..errors import PcieError
 from ..memory import AddressMap, MemorySpace, Memory, MmioWindow
 from ..sim import Event, Simulator
 from ..units import GB_PER_S, MIB, NS
 from .link import PcieLink, PcieLinkConfig
-from .tlp import TLP_OVERHEAD_BYTES, Tlp, TlpKind, chunk_payload
+from .tlp import TLP_OVERHEAD_BYTES, Tlp, TlpKind
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,11 @@ class PciePort:
     # Generators — run them with `yield from` inside a process.
     def write(self, addr: int, data: bytes,
               stream_total: Optional[int] = None) -> Generator[Event, None, None]:
-        yield from self.fabric._write(self, addr, data, stream_total)
+        return self.fabric._write(self, addr, data, stream_total)
 
     def read(self, addr: int, length: int,
              stream_total: Optional[int] = None) -> Generator[Event, None, bytes]:
-        data = yield from self.fabric._read(self, addr, length, stream_total)
-        return data
+        return self.fabric._read(self, addr, length, stream_total)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PciePort {self.name}>"
@@ -121,16 +120,12 @@ class PcieFabric:
             return self.config.gpu_memory_latency
         return self.config.mmio_latency
 
-    def _hops(self, src: PciePort, dst: PciePort) -> List[PcieLink]:
+    @staticmethod
+    def _hops(src: PciePort, dst: PciePort) -> Tuple[PcieLink, ...]:
         """Links crossed between two ports (0, 1, or 2)."""
         if src is dst:
-            return []
-        links = [p.link for p in (src, dst) if p.link is not None]
-        return links
-
-    @staticmethod
-    def _wire_bytes(nbytes: int, max_payload: int) -> int:
-        return nbytes + TLP_OVERHEAD_BYTES * len(chunk_payload(nbytes, max_payload))
+            return ()
+        return tuple(p.link for p in (src, dst) if p.link is not None)
 
     def _effective_read_bw(self, target: object, src: PciePort,
                            stream_total: Optional[int], base_bw: float) -> float:
@@ -147,25 +142,29 @@ class PcieFabric:
             return min(base_bw, max(self.config.p2p_read_floor, scaled))
         return base_bw
 
-    def _stream(self, hops: List[PcieLink], upstream: bool, nbytes: int,
+    @staticmethod
+    def _stream(hops: Tuple[PcieLink, ...], upstream: bool, nbytes: int,
                 bandwidth_cap: Optional[float] = None) -> Generator:
         """Move a data stream across the path: serialization on each hop at
         the bottleneck rate (held one hop at a time, store-and-forward at
-        message granularity), plus each hop's propagation latency."""
-        if not hops:
-            return
+        message granularity), plus each hop's propagation latency.
+
+        Each hop carries one TLP sized to the whole stream's wire bytes:
+        ``nbytes`` plus one TLP overhead per ``max_payload`` chunk."""
         for link in hops:
-            bw = link.config.bandwidth
+            config = link.config
+            bw = config.bandwidth
             if bandwidth_cap is not None:
                 bw = min(bw, bandwidth_cap)
-            wire = self._wire_bytes(nbytes, link.config.max_payload)
-            tlp = Tlp(TlpKind.MEM_WRITE, 0, nbytes)
+            chunks = -(-nbytes // config.max_payload)
+            tlp = Tlp(TlpKind.MEM_WRITE, 0,
+                      nbytes + TLP_OVERHEAD_BYTES * (chunks - 1))
             # Direction bookkeeping: the first hop of an initiator's access is
             # "up" (toward the RC); the final hop toward a device is "down".
             send = link.send_up if upstream else link.send_down
-            # Override serialization with the whole-stream wire size.
-            yield from send(Tlp(tlp.kind, tlp.address, wire - TLP_OVERHEAD_BYTES), bw)
-            upstream = not upstream if len(hops) > 1 else upstream
+            yield from send(tlp, bw)
+            if len(hops) > 1:
+                upstream = not upstream
 
     # -- timed accesses ---------------------------------------------------------------
     def _write(self, src: PciePort, addr: int, data: bytes,
@@ -173,8 +172,8 @@ class PcieFabric:
         if not data:
             raise PcieError("zero-length write")
         target, offset, owner = self._resolve(addr, len(data))
-        hops = self._hops(src, owner)
-        yield from self._stream(hops, upstream=src is not self.root,
+        yield from self._stream(self._hops(src, owner),
+                                upstream=src is not self.root,
                                 nbytes=len(data))
         yield self.sim.timeout(self._target_latency(target))
         self._deliver_write(target, offset, data)
@@ -187,24 +186,22 @@ class PcieFabric:
             raise PcieError("non-positive read length")
         target, offset, owner = self._resolve(addr, length)
         hops = self._hops(src, owner)
-        # Request phase: a header-only TLP per max_read_request chunk.
-        n_requests = len(chunk_payload(length, hops[0].config.max_read_request)) \
-            if hops else 1
+        bw_cap = None
         if hops:
-            req_wire = TLP_OVERHEAD_BYTES * n_requests
-            yield from self._stream(hops, upstream=src is not self.root,
-                                    nbytes=max(req_wire - TLP_OVERHEAD_BYTES, 1))
+            # Request phase: a header-only TLP per max_read_request chunk.
+            n_requests = -(-length // hops[0].config.max_read_request)
+            yield from self._stream(
+                hops, upstream=src is not self.root,
+                nbytes=max(TLP_OVERHEAD_BYTES * (n_requests - 1), 1))
+            # Completion bandwidth, possibly degraded (P2P pathology).
+            bw_cap = self._effective_read_bw(target, src, stream_total,
+                                             hops[0].config.bandwidth)
         yield self.sim.timeout(self._target_latency(target))
         data = self._collect_read(target, offset, length)
-        # Completion phase: data streams back, possibly degraded (P2P pathology).
-        bw_cap = self._effective_read_bw(target, src, stream_total,
-                                         hops[0].config.bandwidth if hops else float("inf"))
         # The completion's first hop is *up* the owner's link when the target
         # sits behind a device port; otherwise it goes straight down to src.
-        yield from self._stream(list(reversed(hops)),
-                                upstream=owner.link is not None,
-                                nbytes=length,
-                                bandwidth_cap=bw_cap if hops else None)
+        yield from self._stream(hops[::-1], upstream=owner.link is not None,
+                                nbytes=length, bandwidth_cap=bw_cap)
         src.reads_issued += 1
         src.bytes_read += length
         return data

@@ -46,12 +46,3 @@ class Tlp:
     def __str__(self) -> str:
         return f"{self.kind.value}@{self.address:#x}+{self.length}"
 
-
-def chunk_payload(total: int, max_payload: int) -> list[int]:
-    """Split ``total`` bytes into TLP-payload-sized chunks."""
-    if total <= 0:
-        raise ValueError(f"non-positive payload {total}")
-    if max_payload <= 0:
-        raise ValueError(f"non-positive max_payload {max_payload}")
-    full, rest = divmod(total, max_payload)
-    return [max_payload] * full + ([rest] if rest else [])
