@@ -13,48 +13,73 @@ for the ring, ``2*log2 N`` for halving, ``log2 N`` for the tree).
 Deadlock freedom: sends are buffered (the msglib slot ring gives ``slots``
 messages of credit per direction), so the uniform send-before-recv order
 used below never blocks on an unposted receive.
+
+Every all-reduce stack (these schedules, fabrics, mpi and workloads)
+shares the data plane below: float64 arrays, ``'<f8'`` message bytes, and
+one combiner call over a slice per received message.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import BenchmarkError
 
 #: The 8-byte token circulated by :func:`barrier`.
 _TOKEN = struct.pack("<Q", 0xB0)
 
-#: Element-wise reduction operators understood by :func:`ring_all_reduce`
-#: and mirrored by :func:`repro.mpi.collectives.iallreduce`.  Each combiner
-#: is applied in the fixed ``owned OP incoming`` association order on both
-#: paths, which is what keeps the two implementations bit-exact against
-#: each other for every op — including the non-commutative-rounding ``sum``
-#: and ``prod`` cases.
+#: Wire dtype of every all-reduce message: little-endian float64, so the
+#: bytes do not depend on the host's byte order.
+F8 = np.dtype("<f8")
+
+
+#: Element-wise reduction operators shared by every all-reduce stack: each
+#: maps two equal-length float64 arrays to ``owned OP incoming`` and is
+#: applied in the same fixed association order on every path, which keeps
+#: the stacks bit-exact against each other for every op, including the
+#: rounding-sensitive ``sum`` and ``prod``.  ``max``/``min`` keep the
+#: scalar ``a if a >= b else b`` rule, so NaN and signed zeros select the
+#: same operand (``np.maximum`` would not).
 REDUCE_OPS = {
-    "sum": lambda a, b: a + b,
-    "max": lambda a, b: a if a >= b else b,
-    "min": lambda a, b: a if a <= b else b,
-    "prod": lambda a, b: a * b,
+    "sum": np.add,
+    "max": lambda a, b: np.where(a >= b, a, b),
+    "min": lambda a, b: np.where(a <= b, a, b),
+    "prod": np.multiply,
 }
 
 
-def resolve_reduce_op(op: str):
-    """The combiner for ``op``, or :class:`BenchmarkError` with choices."""
+def resolve_reduce_op(op: str, error: type = BenchmarkError):
+    """The combiner for ``op``; an unknown ``op`` raises ``error`` (the
+    calling layer's exception type) listing the choices."""
     try:
         return REDUCE_OPS[op]
     except KeyError:
-        raise BenchmarkError(
+        raise error(
             f"unknown reduction op {op!r} "
             f"(choose from: {', '.join(sorted(REDUCE_OPS))})") from None
 
 
-def _pack(chunk: List[float]) -> bytes:
-    return struct.pack(f"<{len(chunk)}d", *chunk)
+def _pack(values) -> bytes:
+    return np.asarray(values, dtype=F8).tobytes()
 
 
-def _unpack(data: bytes) -> List[float]:
-    return list(struct.unpack(f"<{len(data) // 8}d", data))
+def _unpack(data: bytes) -> np.ndarray:
+    """A read-only float64 view of ``data``; copy before writing."""
+    return np.frombuffer(data, dtype=F8)
+
+
+def exact_match(got: Sequence[float], expected: Sequence[float]) -> bool:
+    """All-reduce verdict: a non-empty result of exactly the expected
+    length whose every element equals the expected one (``==``, no
+    tolerance).  Small-integer inputs are exact in float64 under any
+    association order, so any difference is a real error."""
+    got = np.asarray(got, dtype=F8)
+    expected = np.asarray(expected, dtype=F8)
+    return (got.size > 0 and got.shape == expected.shape
+            and bool(np.all(got == expected)))
 
 
 def barrier(ctx, rc) -> int:
@@ -129,13 +154,13 @@ def ring_all_reduce(ctx, rc, values: List[float],
     """
     combine = resolve_reduce_op(op)
     n = rc.size
-    if not values or len(values) % n:
+    if not len(values) or len(values) % n:
         raise BenchmarkError(
             f"all-reduce vector length {len(values)} must be a positive "
             f"multiple of the {n} ranks")
     chunk_len = len(values) // n
-    chunks = [list(values[i * chunk_len:(i + 1) * chunk_len])
-              for i in range(n)]
+    out = np.array(values, dtype=F8)
+    chunks = out.reshape(n, chunk_len)  # row i is a view of chunk i
     steps = 0
     # Reduce-scatter: after step s, chunk (rank-s-1)%n holds partial sums
     # of s+2 contributions; after N-1 steps rank r owns the full sum of
@@ -146,8 +171,7 @@ def ring_all_reduce(ctx, rc, values: List[float],
         yield from rc.send(ctx, rc.next, _pack(chunks[send_idx]))
         incoming = _unpack((yield from rc.recv(ctx, rc.prev)))
         yield from rc.compute(ctx, 2 * chunk_len)  # fused add of one chunk
-        chunks[recv_idx] = [combine(a, b)
-                            for a, b in zip(chunks[recv_idx], incoming)]
+        chunks[recv_idx] = combine(chunks[recv_idx], incoming)
         steps += 1
     # All-gather of the reduced chunks, starting from the one this rank owns.
     for s in range(n - 1):
@@ -156,7 +180,7 @@ def ring_all_reduce(ctx, rc, values: List[float],
         yield from rc.send(ctx, rc.next, _pack(chunks[send_idx]))
         chunks[recv_idx] = _unpack((yield from rc.recv(ctx, rc.prev)))
         steps += 1
-    return [v for chunk in chunks for v in chunk], steps
+    return out.tolist(), steps
 
 
 def rh_all_reduce(ctx, rc, values: List[float],
@@ -178,11 +202,11 @@ def rh_all_reduce(ctx, rc, values: List[float],
     if n & (n - 1):
         raise BenchmarkError(
             f"recursive halving needs a power-of-two rank count, got {n}")
-    if not values or len(values) % n:
+    if not len(values) or len(values) % n:
         raise BenchmarkError(
             f"all-reduce vector length {len(values)} must be a positive "
             f"multiple of the {n} ranks")
-    out = list(values)
+    out = np.array(values, dtype=F8)
     steps = 0
     lo, hi = 0, len(out)                # this rank's active window
     dist = n // 2
@@ -197,8 +221,7 @@ def rh_all_reduce(ctx, rc, values: List[float],
         steps += 1
         incoming = _unpack((yield from rc.recv(ctx, partner)))
         yield from rc.compute(ctx, 2 * len(incoming))
-        for i, v in enumerate(incoming):
-            out[keep_lo + i] = combine(out[keep_lo + i], v)
+        out[keep_lo:keep_hi] = combine(out[keep_lo:keep_hi], incoming)
         lo, hi = keep_lo, keep_hi
         dist //= 2
     dist = 1
@@ -214,7 +237,7 @@ def rh_all_reduce(ctx, rc, values: List[float],
             out[hi:2 * hi - lo] = incoming
             hi = 2 * hi - lo
         dist *= 2
-    return out, steps
+    return out.tolist(), steps
 
 
 def tree_all_reduce(ctx, rc, values: List[float],
@@ -228,9 +251,9 @@ def tree_all_reduce(ctx, rc, values: List[float],
     """
     combine = resolve_reduce_op(op)
     n = rc.size
-    if not values:
+    if not len(values):
         raise BenchmarkError("all-reduce needs a non-empty vector")
-    out = list(values)
+    out = np.array(values, dtype=F8)
     steps = 0
     mask = 1
     while mask < n:                     # reduce toward rank 0
@@ -242,8 +265,7 @@ def tree_all_reduce(ctx, rc, values: List[float],
         if src < n:
             incoming = _unpack((yield from rc.recv(ctx, src)))
             yield from rc.compute(ctx, 2 * len(incoming))
-            for i, v in enumerate(incoming):
-                out[i] = combine(out[i], v)
+            out = combine(out, incoming)
         mask <<= 1
     # broadcast back down: receive from the parent (the lowest set bit),
     # then feed children below that bit, widest subtree first.
@@ -262,7 +284,7 @@ def tree_all_reduce(ctx, rc, values: List[float],
             yield from rc.send(ctx, child, _pack(out))
             steps += 1
         m >>= 1
-    return out, steps
+    return out.tolist(), steps
 
 
 def halo_exchange(ctx, rc, interior: bytes, halo_bytes: int,

@@ -22,14 +22,18 @@ the reconciliation ``python -m repro collectives --trace`` enforces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..cluster import Cluster, build_extoll_cluster
 from ..errors import BenchmarkError
 from ..core.results import BandwidthPoint, LatencyPoint
 from ..sim import NULL_SPAN, Simulator
-from .algorithms import (all_gather, barrier, broadcast, halo_exchange,
-                         rh_all_reduce, ring_all_reduce, tree_all_reduce)
+from .algorithms import (F8, all_gather, barrier, broadcast, exact_match,
+                         halo_exchange, rh_all_reduce, ring_all_reduce,
+                         tree_all_reduce)
 from .comm import CollectiveMode, Communicator
 
 #: Operations understood by :func:`run_collective` and the CLI.
@@ -68,11 +72,11 @@ def pattern(rank: int, size: int) -> bytes:
     return bytes((37 * rank + 11 * i + 5) % 251 for i in range(size))
 
 
-def vector(rank: int, nodes: int, size: int):
+def vector(rank: int, nodes: int, size: int) -> np.ndarray:
     """A deterministic per-rank float64 vector of ``nodes * size/8``
     elements (``size`` bytes travel per all-reduce step)."""
     length = nodes * (size // 8)
-    return [float((7 * rank + 3 * i + 1) % 97) for i in range(length)]
+    return ((7 * rank + 1 + 3 * np.arange(length)) % 97).astype(F8)
 
 
 @dataclass
@@ -170,14 +174,9 @@ def _verify(op: str, nodes: int, size: int, finals: Dict[int, object]) -> bool:
         expected = [pattern(k, size) for k in range(nodes)]
         return all(finals[r] == expected for r in range(nodes))
     if op in ("all-reduce", "all-reduce-rh", "all-reduce-tree"):
-        vectors = [vector(r, nodes, size) for r in range(nodes)]
-        expected = [sum(col) for col in zip(*vectors)]
-        # Small integers summed in float64: equality is exact, but the
-        # gather order is rank-dependent so allow rounding headroom.
-        return all(len(finals[r]) == len(expected) and
-                   all(abs(a - b) <= 1e-9 for a, b in
-                       zip(finals[r], expected))
-                   for r in range(nodes))
+        expected = reduce(np.add, [vector(r, nodes, size)
+                                   for r in range(nodes)])
+        return all(exact_match(finals[r], expected) for r in range(nodes))
     if op == "halo":
         ok = True
         for r in range(nodes):

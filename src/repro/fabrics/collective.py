@@ -4,10 +4,12 @@ Each rank is a :class:`FabricHost` — one process-level participant that
 sends tagged messages through its fabric attachment and demultiplexes
 arrivals into per-``(src, tag)`` queues (adaptive routing may reorder
 packets between the same pair, so matching is by tag, never arrival
-order).  Payloads are real ``struct``-packed float64 vectors and every
-reduction applies ``op(owned, incoming)`` in a fixed schedule order, so
-with integer-valued inputs all three algorithms produce **bit-exact**
-identical results — the sweep's cross-algorithm verdict.
+order).  Payloads are real packed float64 vectors and every reduction
+applies ``op(owned, incoming)`` over one slice per message in a fixed
+schedule order (the shared data plane of
+:mod:`repro.collectives.algorithms`), so with integer-valued inputs all
+three algorithms produce **bit-exact** identical results — the sweep's
+cross-algorithm verdict.
 
 The causal story: when the run's tracer wants the ``causal`` category,
 every message carries ``meta["caddr"] = (src, dst, msg_seq)`` and the
@@ -18,10 +20,14 @@ fabric hops and blames ``blocked-on-credit`` where a credit gate stalled.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
+from ..collectives.algorithms import (F8, _pack, _unpack, exact_match,
+                                      resolve_reduce_op)
 from ..errors import NetworkError
 from ..sim import AllOf, Simulator, Store
 from ..network.packet import Packet, PacketKind
@@ -31,24 +37,23 @@ from .routing import FabricInstance
 FABRIC_HEADER = 32
 
 
-def _pack(values: List[float]) -> bytes:
-    return struct.pack(f"<{len(values)}d", *values)
-
-
-def _unpack(blob: bytes) -> List[float]:
-    return list(struct.unpack(f"<{len(blob) // 8}d", blob))
-
-
-def fabric_vector(rank: int, n: int, elems: int) -> List[float]:
+def fabric_vector(rank: int, n: int, elems: int) -> np.ndarray:
     """Deterministic integer-valued payload: exact under every reduction
     order, so bit-exactness across algorithms is meaningful."""
-    return [float((13 * rank + 7 * i + 3) % 101) for i in range(elems)]
+    return ((13 * rank + 3 + 7 * np.arange(elems)) % 101).astype(F8)
 
 
-REDUCE = {
-    "sum": lambda a, b: a + b,
-    "max": lambda a, b: a if a >= b else b,
-}
+class _ArrivalQueue(Store):
+    """One rank's queue of arrivals from one ``(src, tag)``."""
+
+    def __init__(self, sim: Simulator, node_id: int,
+                 key: Tuple[int, int]) -> None:
+        super().__init__(sim)
+        self._node_id = node_id
+        self._key = key
+
+    def _default_name(self) -> str:
+        return f"fabhost{self._node_id}.q{self._key}"
 
 
 class FabricHost:
@@ -70,7 +75,7 @@ class FabricHost:
         key = (src, tag)
         store = self._queues.get(key)
         if store is None:
-            store = Store(self.sim, name=f"fabhost{self.node_id}.q{key}")
+            store = _ArrivalQueue(self.sim, self.node_id, key)
             self._queues[key] = store
         return store
 
@@ -131,46 +136,41 @@ def _require_pow2(n: int, name: str) -> None:
 
 
 def ring_all_reduce(host: FabricHost, n: int, rank: int,
-                    values: List[float], op: Callable, tag0: int):
+                    values: np.ndarray, op: Callable, tag0: int):
     """PR 2's schedule at packet level: reduce-scatter then allgather
     around the ring, ``2(N-1)`` steps, one chunk per message."""
     if len(values) % n:
         raise NetworkError("vector length must divide by the rank count")
-    chunk = len(values) // n
-    out = list(values)
+    out = np.array(values, dtype=F8)
+    chunks = out.reshape(n, -1)         # row i is a view of chunk i
     nxt, prv = (rank + 1) % n, (rank - 1) % n
     steps = 0
     for s in range(n - 1):
         send_idx = (rank - s) % n
         recv_idx = (rank - s - 1) % n
-        yield from host.send(
-            nxt, _pack(out[send_idx * chunk:(send_idx + 1) * chunk]),
-            tag0 + s)
+        yield from host.send(nxt, _pack(chunks[send_idx]), tag0 + s)
         steps += 1
         incoming = _unpack((yield from host.recv(prv, tag0 + s)))
-        base = recv_idx * chunk
-        for i, v in enumerate(incoming):
-            out[base + i] = op(out[base + i], v)
+        chunks[recv_idx] = op(chunks[recv_idx], incoming)
     for s in range(n - 1):
         send_idx = (rank + 1 - s) % n
         recv_idx = (rank - s) % n
-        yield from host.send(
-            nxt, _pack(out[send_idx * chunk:(send_idx + 1) * chunk]),
-            tag0 + (n - 1) + s)
+        yield from host.send(nxt, _pack(chunks[send_idx]),
+                             tag0 + (n - 1) + s)
         steps += 1
-        incoming = _unpack((yield from host.recv(prv, tag0 + (n - 1) + s)))
-        out[recv_idx * chunk:(recv_idx + 1) * chunk] = incoming
+        chunks[recv_idx] = _unpack(
+            (yield from host.recv(prv, tag0 + (n - 1) + s)))
     return out, steps
 
 
 def rh_all_reduce(host: FabricHost, n: int, rank: int,
-                  values: List[float], op: Callable, tag0: int):
+                  values: np.ndarray, op: Callable, tag0: int):
     """Recursive halving reduce-scatter + recursive doubling allgather:
     ``2*log2(N)`` phases, message size halving then doubling."""
     _require_pow2(n, "recursive halving")
     if len(values) % n:
         raise NetworkError("vector length must divide by the rank count")
-    out = list(values)
+    out = np.array(values, dtype=F8)
     steps = 0
     lo, hi = 0, len(values)             # my active window
     dist = n // 2
@@ -186,8 +186,7 @@ def rh_all_reduce(host: FabricHost, n: int, rank: int,
                              tag0 + phase)
         steps += 1
         incoming = _unpack((yield from host.recv(partner, tag0 + phase)))
-        for i, v in enumerate(incoming):
-            out[keep_lo + i] = op(out[keep_lo + i], v)
+        out[keep_lo:keep_hi] = op(out[keep_lo:keep_hi], incoming)
         lo, hi = keep_lo, keep_hi
         dist //= 2
         phase += 1
@@ -209,10 +208,10 @@ def rh_all_reduce(host: FabricHost, n: int, rank: int,
 
 
 def tree_all_reduce(host: FabricHost, n: int, rank: int,
-                    values: List[float], op: Callable, tag0: int):
+                    values: np.ndarray, op: Callable, tag0: int):
     """Binomial-tree reduce to rank 0 + binomial broadcast back:
     ``2*ceil(log2 N)`` phases of full-vector messages."""
-    out = list(values)
+    out = np.asarray(values, dtype=F8)
     steps = 0
     mask = 1
     while mask < n:                     # reduce toward rank 0
@@ -224,8 +223,7 @@ def tree_all_reduce(host: FabricHost, n: int, rank: int,
         src = rank | mask
         if src < n:
             incoming = _unpack((yield from host.recv(src, tag0)))
-            for i, v in enumerate(incoming):
-                out[i] = op(out[i], v)
+            out = op(out, incoming)
         mask <<= 1
     while mask < n:
         mask <<= 1
@@ -325,16 +323,16 @@ def run_collective(instance: FabricInstance, algorithm: str,
     except KeyError:
         raise NetworkError(f"unknown algorithm {algorithm!r} "
                            f"(one of {sorted(ALGORITHMS)})") from None
+    reduce_op = resolve_reduce_op(op, NetworkError)
     sim = instance.sim
     n = instance.n
-    reduce_op = REDUCE[op]
     hosts = [FabricHost(instance, r) for r in range(n)]
     elems = elems_per_rank * n
     inputs = [fabric_vector(r, n, elems) for r in range(n)]
-    expected = list(inputs[0])
-    for vec in inputs[1:]:
-        expected = [reduce_op(a, b) for a, b in zip(expected, vec)]
-    finals: Dict[int, List[float]] = {}
+    # Rank by rank, left to right with the same combiner: a pairwise
+    # reduction (np.sum) would change the association order.
+    expected = reduce(reduce_op, inputs)
+    finals: Dict[int, np.ndarray] = {}
     steps: Dict[int, int] = {}
     times: List[float] = []
 
@@ -373,7 +371,7 @@ def run_collective(instance: FabricInstance, algorithm: str,
     # run_until_complete, not run(): the demux/router pumps never exit,
     # so a drained heap with them alive is normal termination here.
     sim.run_until_complete(sim.process(driver(), name="coll.driver"))
-    correct = all(finals[r] == expected for r in range(n))
+    correct = all(exact_match(finals[r], expected) for r in range(n))
     flow = instance.flow_stats()
     return CollectiveResult(
         topology=instance.topology.kind, algorithm=algorithm, n=n,
@@ -386,5 +384,5 @@ def run_collective(instance: FabricInstance, algorithm: str,
 
 
 __all__ = ["ALGORITHMS", "FABRIC_HEADER", "CollectiveResult", "FabricHost",
-           "REDUCE", "expected_phases", "fabric_vector", "run_collective",
+           "expected_phases", "fabric_vector", "run_collective",
            "ring_all_reduce", "rh_all_reduce", "tree_all_reduce"]

@@ -19,10 +19,13 @@ of model bookkeeping:
 from __future__ import annotations
 
 import dataclasses
+from functools import reduce
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..cluster import build_extoll_cluster
-from ..collectives.algorithms import _unpack
+from ..collectives.algorithms import _unpack, exact_match
 from ..collectives.bench import build_communicator, run_collective, vector
 from ..collectives.comm import CollectiveMode
 from ..core.results import LatencyPoint
@@ -162,7 +165,7 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
     comm = _build(nodes, seed, config, tracer)
     trc = comm.sim.tracer
     vectors = [vector(r, nodes, size) for r in range(nodes)]
-    expected = [sum(col) for col in zip(*vectors)]
+    expected = reduce(np.add, vectors)
     before = comm.snapshot()
     start = None
     correct = True
@@ -180,11 +183,9 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
         span.end()
         if measured:
             measured_rounds += 1
-        for req in reqs:
-            got = _unpack(req.data)
-            if any(abs(a - b) > 1e-9 * max(1.0, abs(b))
-                   for a, b in zip(got, expected)):
-                correct = False
+        if not all(exact_match(_unpack(req.data), expected)
+                   for req in reqs):
+            correct = False
     elapsed = comm.sim.now - start
     comm.check_async_errors()
     delta = comm.diff(before)

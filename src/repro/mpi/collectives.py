@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..collectives.algorithms import REDUCE_OPS, _pack, _unpack
+import numpy as np
+
+from ..collectives.algorithms import F8, _pack, _unpack, resolve_reduce_op
 from ..errors import MpiError
 from .comm import MpiCommunicator, MpiRank
 from .request import MpiRequest
@@ -145,14 +147,11 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
     the send requests at the end.
     """
     n = rank.size
-    if op not in REDUCE_OPS:
-        raise MpiError(f"unknown reduction op {op!r} (choose from: "
-                       f"{', '.join(sorted(REDUCE_OPS))})")
+    combine = resolve_reduce_op(op, MpiError)
     if algorithm not in ALLREDUCE_ALGORITHMS:
         raise MpiError(f"unknown all-reduce algorithm {algorithm!r} "
                        f"(choose from: {', '.join(ALLREDUCE_ALGORITHMS)})")
-    combine = REDUCE_OPS[op]
-    if not values or len(values) % n:
+    if not len(values) or len(values) % n:
         raise MpiError(
             f"all-reduce vector length {len(values)} must be a positive "
             f"multiple of the {n} ranks")
@@ -165,8 +164,7 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
     per_instr = rank.node.gpu.config.instruction_time
 
     def ring_body():
-        chunks = [list(values[i * chunk_len:(i + 1) * chunk_len])
-                  for i in range(n)]
+        chunks = np.array(values, dtype=F8).reshape(n, chunk_len)
         sends = []
         for s in range(n - 1):
             send_idx = (rank.rank - s) % n
@@ -176,8 +174,7 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
             incoming = _unpack((yield rank.irecv(source=rank.prev,
                                                  tag=tag)))
             yield 2 * chunk_len * per_instr     # fused combine of one chunk
-            chunks[recv_idx] = [combine(a, b)
-                                for a, b in zip(chunks[recv_idx], incoming)]
+            chunks[recv_idx] = combine(chunks[recv_idx], incoming)
         for s in range(n - 1):
             send_idx = (rank.rank + 1 - s) % n
             recv_idx = (rank.rank - s) % n
@@ -187,10 +184,10 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
                                                          tag=tag)))
         for sreq in sends:
             yield sreq
-        return _pack([v for chunk in chunks for v in chunk])
+        return _pack(chunks)
 
     def rh_body():
-        out = list(values)
+        out = np.array(values, dtype=F8)
         sends = []
         lo, hi = 0, len(out)            # this rank's active window
         dist = n // 2
@@ -205,8 +202,7 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
                                     tag=tag))
             incoming = _unpack((yield rank.irecv(source=partner, tag=tag)))
             yield 2 * len(incoming) * per_instr
-            for i, v in enumerate(incoming):
-                out[keep_lo + i] = combine(out[keep_lo + i], v)
+            out[keep_lo:keep_hi] = combine(out[keep_lo:keep_hi], incoming)
             lo, hi = keep_lo, keep_hi
             dist //= 2
         dist = 1
@@ -226,7 +222,7 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
         return _pack(out)
 
     def tree_body():
-        out = list(values)
+        out = np.asarray(values, dtype=F8)
         sends = []
         mask = 1
         while mask < n:                 # binomial reduce toward rank 0
@@ -238,8 +234,7 @@ def iallreduce(comm: MpiCommunicator, rank: MpiRank,
             if src < n:
                 incoming = _unpack((yield rank.irecv(source=src, tag=tag)))
                 yield 2 * len(incoming) * per_instr
-                for i, v in enumerate(incoming):
-                    out[i] = combine(out[i], v)
+                out = combine(out, incoming)
             mask <<= 1
         recv_mask = rank.rank & -rank.rank if rank.rank else 0
         if rank.rank != 0:

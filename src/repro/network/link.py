@@ -73,6 +73,21 @@ class NetLinkConfig:
             raise NetworkError("vcs must be >= 1")
 
 
+class CreditWait(Event):
+    """A send waiting for a credit on one direction and VC of ``link``."""
+
+    __slots__ = ("_link", "_direction", "_vc")
+
+    def __init__(self, link: "NetLink", direction: int, vc: int) -> None:
+        super().__init__(link.sim)
+        self._link = link
+        self._direction = direction
+        self._vc = vc
+
+    def _default_name(self) -> str:
+        return f"{self._link.name}.crd{self._direction}v{self._vc}"
+
+
 class FlowState:
     """Per-direction, per-VC credit pools for one link.
 
@@ -110,7 +125,7 @@ class FlowState:
             if occ > self.peak_in_flight[direction]:
                 self.peak_in_flight[direction] = occ
             return None
-        ev = Event(self.link.sim, name=f"{self.link.name}.crd{direction}v{vc}")
+        ev = CreditWait(self.link, direction, vc)
         self._waiters[direction][vc].append(ev)
         return ev
 

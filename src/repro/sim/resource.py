@@ -97,10 +97,19 @@ class Store:
             raise SimulationError(f"capacity must be >= 1 or None, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self.name = name
+        self._name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._putters: Deque[tuple[Event, Any]] = deque()
+
+    @property
+    def name(self) -> str:
+        return self._name or self._default_name()
+
+    def _default_name(self) -> str:
+        """The label used when none was given; subclasses that are created
+        per message derive theirs here, so it is formatted only on demand."""
+        return ""
 
     def __len__(self) -> int:
         return len(self._items)

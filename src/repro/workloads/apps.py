@@ -32,9 +32,13 @@ survey (arXiv:2503.24230) names as the service-scale stressors:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List
+from functools import reduce
+from typing import Callable, Dict, Generator
 
-from ..collectives.algorithms import REDUCE_OPS, _pack, _unpack
+import numpy as np
+
+from ..collectives.algorithms import (F8, REDUCE_OPS, _pack, _unpack,
+                                      exact_match)
 from ..errors import BenchmarkError
 
 #: Instructions charged per reduced element (fused multiply-add idiom used
@@ -45,21 +49,26 @@ _INSTR_PER_ELEMENT = 2
 _ACK = bytes(range(8))
 
 
+#: ``(b * 2 + 1) % 251`` for every byte value ``b``.
+_EXPERT_TABLE = ((2 * np.arange(256) + 1) % 251).astype(np.uint8)
+
+
 def payload(req: int, src: int, dst: int, nbytes: int) -> bytes:
     """Deterministic, distinct bytes for (request, src, dst)."""
     base = (req * 131 + src * 37 + dst * 17) % 251
-    return bytes((base + 11 * i + 5) % 251 for i in range(nbytes))
+    return ((base + 5 + 11 * np.arange(nbytes)) % 251).astype(
+        np.uint8).tobytes()
 
 
-def grad_vector(req: int, rank: int, elements: int) -> List[float]:
+def grad_vector(req: int, rank: int, elements: int) -> np.ndarray:
     """Deterministic per-(request, rank) float64 gradient vector."""
-    return [float((req * 31 + 7 * rank + 3 * i + 1) % 97)
-            for i in range(elements)]
+    return ((req * 31 + 7 * rank + 1 + 3 * np.arange(elements))
+            % 97).astype(F8)
 
 
 def expert_transform(data: bytes) -> bytes:
     """What an expert does to a token chunk (cheap, deterministic)."""
-    return bytes((b * 2 + 1) % 251 for b in data)
+    return _EXPERT_TABLE[np.frombuffer(data, dtype=np.uint8)].tobytes()
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,8 @@ def _allreduce_ops(req: int, rank: int, nodes: int, size: int,
     """PR 2's ring all-reduce schedule in op-vocabulary form: identical
     chunking, identical ``op(owned, incoming)`` association order."""
     combine = REDUCE_OPS[op]
-    values = grad_vector(req, rank, nodes * (size // 8))
-    chunk_len = len(values) // nodes
-    chunks = [list(values[i * chunk_len:(i + 1) * chunk_len])
-              for i in range(nodes)]
+    chunks = grad_vector(req, rank, nodes * (size // 8)).reshape(nodes, -1)
+    chunk_len = chunks.shape[1]
     nxt, prv = (rank + 1) % nodes, (rank - 1) % nodes
     for s in range(nodes - 1):
         send_idx = (rank - s) % nodes
@@ -99,14 +106,22 @@ def _allreduce_ops(req: int, rank: int, nodes: int, size: int,
         yield ("send", nxt, _pack(chunks[send_idx]))
         incoming = _unpack((yield ("recv", prv)))
         yield ("compute", _INSTR_PER_ELEMENT * chunk_len)
-        chunks[recv_idx] = [combine(a, b)
-                            for a, b in zip(chunks[recv_idx], incoming)]
+        chunks[recv_idx] = combine(chunks[recv_idx], incoming)
     for s in range(nodes - 1):
         send_idx = (rank + 1 - s) % nodes
         recv_idx = (rank - s) % nodes
         yield ("send", nxt, _pack(chunks[send_idx]))
         chunks[recv_idx] = _unpack((yield ("recv", prv)))
-    return [v for chunk in chunks for v in chunk]
+    return chunks.ravel().tolist()
+
+
+def _verify_allreduce(req: int, rank: int, nodes: int, size: int,
+                      result: object) -> bool:
+    """Exact check of a rank's ring all-reduce result: the left-to-right
+    sum of every rank's gradient vector."""
+    expected = reduce(np.add, [grad_vector(req, r, nodes * (size // 8))
+                               for r in range(nodes)])
+    return isinstance(result, list) and exact_match(result, expected)
 
 
 def _trainstep(compute_instr: int, overlap: float) -> Workload:
@@ -121,20 +136,12 @@ def _trainstep(compute_instr: int, overlap: float) -> Workload:
         result = yield from _allreduce_ops(req, rank, nodes, size)
         return result
 
-    def verify(req: int, rank: int, nodes: int, size: int,
-               result: object) -> bool:
-        vectors = [grad_vector(req, r, nodes * (size // 8))
-                   for r in range(nodes)]
-        expected = [sum(col) for col in zip(*vectors)]
-        return (isinstance(result, list) and len(result) == len(expected)
-                and all(abs(a - b) <= 1e-9
-                        for a, b in zip(result, expected)))
-
     return Workload(
         name="trainstep",
         description="data-parallel training step: exposed compute + ring "
                     "all-reduce of the gradient vector",
-        connectivity="ring", min_nodes=2, script=script, verify=verify,
+        connectivity="ring", min_nodes=2, script=script,
+        verify=_verify_allreduce,
         request_bytes=lambda nodes, size: 2 * (nodes - 1) * nodes * size,
         knobs={"compute_instr": compute_instr, "overlap": overlap})
 
@@ -235,28 +242,27 @@ def _psfanin(reduce_instr_per_el: int) -> Workload:
     def script(req: int, rank: int, nodes: int, size: int):
         elements = size // 8
         if rank == 0:               # the server: gather, reduce, fan out
-            total = [0.0] * elements
+            total = np.zeros(elements, dtype=F8)
             for w in range(1, nodes):
                 grads = _unpack((yield ("recv", w)))
                 yield ("compute", reduce_instr_per_el * elements)
-                total = [a + b for a, b in zip(total, grads)]
+                total += grads
             update = _pack(total)
             for w in range(1, nodes):
                 yield ("send", w, update)
-            return total
+            return total.tolist()
         yield ("send", 0, _pack(grad_vector(req, rank, elements)))
         update = yield ("recv", 0)
-        return _unpack(update)
+        return _unpack(update).tolist()
 
     def verify(req: int, rank: int, nodes: int, size: int,
                result: object) -> bool:
         elements = size // 8
-        total = [0.0] * elements
+        total = np.zeros(elements, dtype=F8)
         # Same fixed worker order as the server: float sums are bit-exact.
         for w in range(1, nodes):
-            total = [a + b
-                     for a, b in zip(total, grad_vector(req, w, elements))]
-        return result == total
+            total += grad_vector(req, w, elements)
+        return result == total.tolist()
 
     return Workload(
         name="psfanin",
@@ -323,20 +329,12 @@ def _allreduce(skew_rank: int, skew_instr: int) -> Workload:
         result = yield from _allreduce_ops(req, rank, nodes, size)
         return result
 
-    def verify(req: int, rank: int, nodes: int, size: int,
-               result: object) -> bool:
-        vectors = [grad_vector(req, r, nodes * (size // 8))
-                   for r in range(nodes)]
-        expected = [sum(col) for col in zip(*vectors)]
-        return (isinstance(result, list) and len(result) == len(expected)
-                and all(abs(a - b) <= 1e-9
-                        for a, b in zip(result, expected)))
-
     return Workload(
         name="allreduce",
         description="bare ring all-reduce of one gradient vector, with a "
                     "forced-straggler skew knob",
-        connectivity="ring", min_nodes=2, script=script, verify=verify,
+        connectivity="ring", min_nodes=2, script=script,
+        verify=_verify_allreduce,
         request_bytes=lambda nodes, size: 2 * (nodes - 1) * nodes * size,
         knobs={"skew_rank": skew_rank, "skew_instr": skew_instr})
 

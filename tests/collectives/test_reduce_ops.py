@@ -61,7 +61,7 @@ def _mpi_finals(nodes, size, op, seed=23):
             for rank in comm.ranks]
     comm.wait(*reqs)
     comm.check_async_errors()
-    return {rank.rank: _unpack(reqs[rank.rank].data)
+    return {rank.rank: _unpack(reqs[rank.rank].data).tolist()
             for rank in comm.ranks}
 
 

@@ -1,20 +1,25 @@
 """Topology-aware collectives: numerics, closed forms, bit-exactness."""
 
+import struct
+
 import pytest
 
+from repro.collectives.algorithms import REDUCE_OPS
+from repro.errors import NetworkError
 from repro.fabrics import build_topology, instantiate, run_collective
 from repro.fabrics.collective import (ALGORITHMS, expected_phases,
-                                      expected_steps)
+                                      expected_steps, fabric_vector)
 from repro.fabrics.topology import FabricConfig
 from repro.sim import Simulator
 
 
-def run(kind, algorithm, n=16, credits=None, elems=4, iterations=2, seed=1):
+def run(kind, algorithm, n=16, credits=None, elems=4, iterations=2, seed=1,
+        op="sum"):
     sim = Simulator(seed=seed)
     inst = instantiate(sim, build_topology(kind, n),
                        FabricConfig(credits=credits))
     return run_collective(inst, algorithm, elems_per_rank=elems,
-                          iterations=iterations)
+                          iterations=iterations, op=op)
 
 
 def test_algorithms_registry():
@@ -34,6 +39,35 @@ def test_correct_and_at_closed_form(kind, algorithm):
 def test_bit_exact_across_algorithms(kind):
     digests = {run(kind, algo).digest for algo in ALGORITHMS}
     assert len(digests) == 1
+
+
+SCALAR_OPS = {
+    "sum": lambda a, b: a + b,
+    "max": lambda a, b: a if a >= b else b,
+    "min": lambda a, b: a if a <= b else b,
+    "prod": lambda a, b: a * b,
+}
+
+
+@pytest.mark.parametrize("op", sorted(REDUCE_OPS))
+def test_every_op_bit_exact_across_algorithms_and_vs_scalar_fold(op):
+    n, elems = 8, 2                     # the smallest torus
+    digests = {algo: run("torus", algo, n=n, elems=elems, iterations=1,
+                         op=op).digest
+               for algo in ALGORITHMS}
+    assert len(set(digests.values())) == 1, digests
+    combine = SCALAR_OPS[op]
+    expected = fabric_vector(0, n, n * elems).tolist()
+    for rank in range(1, n):
+        expected = [combine(a, b) for a, b in
+                    zip(expected, fabric_vector(rank, n, n * elems).tolist())]
+    assert digests["ring"] == struct.pack(f"<{len(expected)}d", *expected)
+
+
+def test_unknown_op_is_a_network_error_listing_the_choices():
+    with pytest.raises(NetworkError, match="unknown reduction op 'xor'") as e:
+        run("torus", "ring", n=8, op="xor")
+    assert all(op in str(e.value) for op in REDUCE_OPS)
 
 
 def test_log_depth_schedules_beat_ring_at_16():

@@ -69,7 +69,7 @@ def test_iallreduce_sums_exactly(nodes, size):
             for rank in comm.ranks]
     comm.wait(*reqs)
     for req in reqs:
-        got = _unpack(req.data)
+        got = _unpack(req.data).tolist()
         assert got == pytest.approx(expected)
     comm.check_async_errors()
 
@@ -126,5 +126,5 @@ def test_iallreduce_n8_cpu_free_and_bit_exact_vs_pr2():
     # Bit-exact against the PR 2 datapath: same schedule, same association
     # order, so float64 results agree to the last bit.
     for rank in comm.ranks:
-        got = _unpack(reqs[rank.rank].data)
+        got = _unpack(reqs[rank.rank].data).tolist()
         assert got == baseline[rank.rank]       # exact ==, not approx
