@@ -27,7 +27,7 @@ from ..cluster import build_extoll_cluster
 from ..collectives import CollectiveMode, build_communicator, run_collective
 from ..collectives.bench import op_connectivity, op_max_payload
 from ..core import ExtollMode, run_extoll_pingpong, setup_extoll_connection
-from ..fabrics.collective import expected_phases, expected_steps
+from ..collectives.schedules import expected_phases, expected_steps
 
 #: analysis op name -> the schedule key ``expected_steps`` understands.
 _OP_ALGORITHM = {"all-reduce": "ring", "all-reduce-rh": "rh",
@@ -84,7 +84,7 @@ class ScalingPoint:
     nodes: int
     size: int
     steps: int                # measured sends per rank
-    expected_steps: int       # the schedule's closed form (see fabrics)
+    expected_steps: int       # the schedule's closed form (see schedules)
     latency: float            # one full all-reduce (seconds)
     step_latency: float       # latency / synchronous phase count
     baseline_one_way: float   # 2-node ping-pong one-way latency at the
@@ -129,7 +129,7 @@ def allreduce_scaling(node_counts: Sequence[int] = SCALING_NODES,
     """Measure one all-reduce schedule at every node count and pin each
     point to the 2-node ping-pong baseline.  ``algorithm`` selects the
     schedule (``ring``/``rh``/``tree``) and with it the closed-form step
-    expectation imported from :mod:`repro.fabrics.collective` — the
+    expectation imported from :mod:`repro.collectives.schedules` — the
     parameterized version of the old hard-coded ``2*(N-1)``."""
     op = {v: k for k, v in _OP_ALGORITHM.items()}.get(algorithm)
     if op is None:

@@ -23,7 +23,8 @@ blame tables plus the per-rank straggler view.  Gates, runnable from CI:
   ``R`` the straggler (the forced-skew canary).  Exit 2 otherwise.
 
 ``--skew RANK:INSTR`` charges extra compute on one rank (pingpong /
-allreduce workloads only); ``--out DIR`` writes one annotated Chrome
+allreduce workloads only; any other workload, a malformed spec or a rank
+outside ``[0, nodes)`` is a usage error, exit 2); ``--out DIR`` writes one annotated Chrome
 trace and one waterfall per cell.
 """
 
@@ -34,10 +35,10 @@ import json
 import os
 from typing import List, Optional, Tuple
 
-from ..errors import ReproError
+from ..errors import BenchmarkError
 from ..obs import SpanTracer
 from ..sim import Simulator
-from ..workloads.apps import get_workload
+from ..workloads.apps import WORKLOADS, get_workload
 from ..workloads.generator import RunResult, WorkloadRun
 from ..workloads.transport import MODES
 from .critpath import RunAnalysis, analyze_run
@@ -55,14 +56,6 @@ _SCENARIOS = {
     "mpi": ("allreduce", 4, 256, ("mpi",)),
     "workloads": (None, 4, 64, MODES),
 }
-
-
-def _parse_skew(spec: str) -> Tuple[int, int]:
-    try:
-        rank, instr = spec.split(":")
-        return int(rank), int(instr)
-    except ValueError:
-        raise ReproError(f"--skew wants RANK:INSTR, got {spec!r}") from None
 
 
 def _run_cell(workload, mode: str, nodes: int, size: int, requests: int,
@@ -92,6 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", default="trainstep",
+                        choices=sorted(WORKLOADS),
                         help="app workload for the 'workloads' scenario")
     parser.add_argument("--skew", default=None, metavar="RANK:INSTR",
                         help="charge extra compute on one rank (pingpong/"
@@ -119,9 +113,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     knobs = {}
     if args.skew:
-        rank, instr = _parse_skew(args.skew)
+        try:
+            rank, instr = (int(v) for v in args.skew.split(":"))
+        except ValueError:
+            parser.error(f"--skew wants RANK:INSTR, got {args.skew!r}")
+        if not 0 <= rank < nodes or instr < 0:
+            parser.error(f"--skew {args.skew}: RANK must lie in [0, "
+                         f"{nodes}) and INSTR must be >= 0")
         knobs = {"skew_rank": rank, "skew_instr": instr}
-    workload = get_workload(name, **knobs)
+    try:
+        workload = get_workload(name, **knobs)
+    except BenchmarkError as exc:
+        parser.error(str(exc))
 
     report: dict = {"scenario": args.scenario, "workload": name,
                     "nodes": nodes, "size": size,

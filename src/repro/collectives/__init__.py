@@ -8,8 +8,12 @@ device-side RMA API of :mod:`repro.core.gpu_rma`, and the host-side API of
 
 * :mod:`~repro.collectives.comm` — :class:`Communicator` /
   :class:`RankComm`: ring channels, mode-dispatched send/recv.
+* :mod:`~repro.collectives.schedules` — the ring, recursive-halving and
+  binomial-tree all-reduce schedules as op scripts, their closed forms,
+  argument check and float64 data plane: the one copy every stack
+  (msglib, fabrics, MPI, workloads) interprets.
 * :mod:`~repro.collectives.algorithms` — barrier, broadcast, all-gather,
-  ring all-reduce (``2*(N-1)`` steps), halo exchange.
+  halo exchange, and the all-reduce schedules over :class:`RankComm`.
 * :mod:`~repro.collectives.bench` — the measured driver behind
   ``python -m repro collectives``.
 """

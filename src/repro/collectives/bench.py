@@ -31,16 +31,16 @@ from ..cluster import Cluster, build_extoll_cluster
 from ..errors import BenchmarkError
 from ..core.results import BandwidthPoint, LatencyPoint
 from ..sim import NULL_SPAN, Simulator
-from .algorithms import (F8, all_gather, barrier, broadcast, exact_match,
-                         halo_exchange, rh_all_reduce, ring_all_reduce,
-                         tree_all_reduce)
+from .algorithms import (all_gather, barrier, broadcast, halo_exchange,
+                         rh_all_reduce, ring_all_reduce, tree_all_reduce)
 from .comm import CollectiveMode, Communicator
+from .schedules import F8, exact_match
 
 #: Operations understood by :func:`run_collective` and the CLI.
 OPS = ("barrier", "broadcast", "all-gather", "all-reduce", "all-reduce-rh",
        "all-reduce-tree", "halo")
 
-#: Ops exchanging with ``rank ^ dist`` partners: need all-pairs channels.
+#: Ops exchanging with hypercube partners: need all-pairs channels.
 FULL_CONNECTIVITY_OPS = ("all-reduce-rh", "all-reduce-tree")
 
 

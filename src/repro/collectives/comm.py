@@ -402,3 +402,35 @@ class RankComm:
             yield from rma_post(ctx, reverse.page_addr, credit_wr)
             end.credits_returned = end.consumed
         return data
+
+
+def run_ops(ctx, rc: RankComm, ops, send=None):
+    """Drive one rank's op script (the vocabulary of
+    :mod:`repro.collectives.schedules`) over ``rc``'s mode-dispatched
+    primitives; returns ``(result, sends)``.  ``send(ctx, peer, data)``
+    replaces ``rc.send`` where a transport posts its puts differently
+    (the workloads engine mode)."""
+    send = send or rc.send
+    recv, compute = rc.recv, rc.compute
+    trc = ctx.sim.tracer
+    sends = 0
+    value = None
+    while True:
+        try:
+            op = ops.send(value)
+        except StopIteration as stop:
+            return stop.value, sends
+        kind = op[0]
+        if kind == "recv":
+            value = yield from recv(ctx, op[1])
+            continue
+        value = None
+        if kind == "send":
+            yield from send(ctx, op[1], op[2])
+            sends += 1
+        elif kind == "compute":
+            yield from compute(ctx, op[1])
+            if trc.wants("causal"):
+                trc.flow_event("cmp", f"n{rc.rank}", instr=op[1])
+        else:
+            raise BenchmarkError(f"unknown op {kind!r}")

@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 
+from ..collectives.schedules import SCHEDULES
 from ..errors import NetworkError
 from .routing import ROUTINGS
 from .sweep import (SweepConfig, forced_congestion_blame, render_report,
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     cfg = SweepConfig(
         topologies=topologies,
         algorithms=_csv(parser, args.algorithms, "algorithm",
-                        ("ring", "rh", "tree")),
+                        tuple(SCHEDULES)),
         nodes=_node_counts(parser, args.nodes, topologies),
         elems_per_rank=args.elems, iterations=args.iterations,
         seed=args.seed, routing=args.routing)

@@ -4,12 +4,12 @@ Each rank is a :class:`FabricHost` — one process-level participant that
 sends tagged messages through its fabric attachment and demultiplexes
 arrivals into per-``(src, tag)`` queues (adaptive routing may reorder
 packets between the same pair, so matching is by tag, never arrival
-order).  Payloads are real packed float64 vectors and every reduction
-applies ``op(owned, incoming)`` over one slice per message in a fixed
-schedule order (the shared data plane of
-:mod:`repro.collectives.algorithms`), so with integer-valued inputs all
-three algorithms produce **bit-exact** identical results — the sweep's
-cross-algorithm verdict.
+order).  :meth:`FabricHost.run` interprets the op scripts of
+:mod:`repro.collectives.schedules`: payloads are real packed float64
+vectors and every reduction applies ``op(owned, incoming)`` over one
+slice per message in the schedule's fixed order, so with integer-valued
+inputs all three algorithms produce **bit-exact** identical results — the
+sweep's cross-algorithm verdict.
 
 The causal story: when the run's tracer wants the ``causal`` category,
 every message carries ``meta["caddr"] = (src, dst, msg_seq)`` and the
@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..collectives.algorithms import (F8, _pack, _unpack, exact_match,
-                                      resolve_reduce_op)
+from ..collectives.schedules import (F8, SCHEDULES, _pack, check_allreduce,
+                                     exact_match, expected_phases,
+                                     expected_steps, resolve_reduce_op)
 from ..errors import NetworkError
 from ..sim import AllOf, Simulator, Store
 from ..network.packet import Packet, PacketKind
@@ -35,6 +36,9 @@ from .routing import FabricInstance
 
 #: Fabric message header (routing + tag + transport bookkeeping).
 FABRIC_HEADER = 32
+
+#: The all-reduce schedules :func:`run_collective` drives, by name.
+ALGORITHMS = SCHEDULES
 
 
 def fabric_vector(rank: int, n: int, elems: int) -> np.ndarray:
@@ -66,6 +70,8 @@ class FabricHost:
         self.attachment = instance.attachment(node_id)
         self._queues: Dict[Tuple[int, int], Store] = {}
         self._msg_seq = 0
+        self._sent: Dict[int, int] = {}         # dst -> messages sent
+        self._received: Dict[int, int] = {}     # src -> messages taken
         self.packets_sent = 0
         self.packets_received = 0
         self.sim.process(self._demux(),
@@ -127,157 +133,37 @@ class FabricHost:
                            bytes=len(packet.payload))
         return packet.payload
 
-
-# -- schedules ------------------------------------------------------------------------
-def _require_pow2(n: int, name: str) -> None:
-    if n & (n - 1) or n < 2:
-        raise NetworkError(f"{name} needs a power-of-two rank count, "
-                           f"got {n}")
-
-
-def ring_all_reduce(host: FabricHost, n: int, rank: int,
-                    values: np.ndarray, op: Callable, tag0: int):
-    """PR 2's schedule at packet level: reduce-scatter then allgather
-    around the ring, ``2(N-1)`` steps, one chunk per message."""
-    if len(values) % n:
-        raise NetworkError("vector length must divide by the rank count")
-    out = np.array(values, dtype=F8)
-    chunks = out.reshape(n, -1)         # row i is a view of chunk i
-    nxt, prv = (rank + 1) % n, (rank - 1) % n
-    steps = 0
-    for s in range(n - 1):
-        send_idx = (rank - s) % n
-        recv_idx = (rank - s - 1) % n
-        yield from host.send(nxt, _pack(chunks[send_idx]), tag0 + s)
-        steps += 1
-        incoming = _unpack((yield from host.recv(prv, tag0 + s)))
-        chunks[recv_idx] = op(chunks[recv_idx], incoming)
-    for s in range(n - 1):
-        send_idx = (rank + 1 - s) % n
-        recv_idx = (rank - s) % n
-        yield from host.send(nxt, _pack(chunks[send_idx]),
-                             tag0 + (n - 1) + s)
-        steps += 1
-        chunks[recv_idx] = _unpack(
-            (yield from host.recv(prv, tag0 + (n - 1) + s)))
-    return out, steps
-
-
-def rh_all_reduce(host: FabricHost, n: int, rank: int,
-                  values: np.ndarray, op: Callable, tag0: int):
-    """Recursive halving reduce-scatter + recursive doubling allgather:
-    ``2*log2(N)`` phases, message size halving then doubling."""
-    _require_pow2(n, "recursive halving")
-    if len(values) % n:
-        raise NetworkError("vector length must divide by the rank count")
-    out = np.array(values, dtype=F8)
-    steps = 0
-    lo, hi = 0, len(values)             # my active window
-    dist = n // 2
-    phase = 0
-    while dist >= 1:
-        partner = rank ^ dist
-        mid = (lo + hi) // 2
-        if rank & dist:                 # I keep the upper half
-            send_lo, send_hi, keep_lo, keep_hi = lo, mid, mid, hi
-        else:
-            send_lo, send_hi, keep_lo, keep_hi = mid, hi, lo, mid
-        yield from host.send(partner, _pack(out[send_lo:send_hi]),
-                             tag0 + phase)
-        steps += 1
-        incoming = _unpack((yield from host.recv(partner, tag0 + phase)))
-        out[keep_lo:keep_hi] = op(out[keep_lo:keep_hi], incoming)
-        lo, hi = keep_lo, keep_hi
-        dist //= 2
-        phase += 1
-    dist = 1
-    while dist < n:                     # mirror: allgather doubling
-        partner = rank ^ dist
-        yield from host.send(partner, _pack(out[lo:hi]), tag0 + phase)
-        steps += 1
-        incoming = _unpack((yield from host.recv(partner, tag0 + phase)))
-        if rank & dist:                 # partner held the half below mine
-            out[2 * lo - hi:lo] = incoming
-            lo = 2 * lo - hi
-        else:
-            out[hi:2 * hi - lo] = incoming
-            hi = 2 * hi - lo
-        dist *= 2
-        phase += 1
-    return out, steps
-
-
-def tree_all_reduce(host: FabricHost, n: int, rank: int,
-                    values: np.ndarray, op: Callable, tag0: int):
-    """Binomial-tree reduce to rank 0 + binomial broadcast back:
-    ``2*ceil(log2 N)`` phases of full-vector messages."""
-    out = np.asarray(values, dtype=F8)
-    steps = 0
-    mask = 1
-    while mask < n:                     # reduce toward rank 0
-        if rank & mask:
-            yield from host.send(rank ^ mask, _pack(out), tag0)
-            steps += 1
-            mask <<= 1
-            break                       # sent my subtree up; now wait
-        src = rank | mask
-        if src < n:
-            incoming = _unpack((yield from host.recv(src, tag0)))
-            out = op(out, incoming)
-        mask <<= 1
-    while mask < n:
-        mask <<= 1
-    # broadcast back down the same tree, top link first
-    recv_mask = 0
-    m = 1
-    while m < n:
-        if rank & m:
-            recv_mask = m
-            break
-        m <<= 1
-    if rank != 0:
-        out = _unpack((yield from host.recv(rank ^ recv_mask, tag0 + 1)))
-    m = (recv_mask or mask) >> 1
-    while m >= 1:
-        child = rank | m
-        if child < n and child != rank:
-            yield from host.send(child, _pack(out), tag0 + 1)
-            steps += 1
-        m >>= 1
-    return out, steps
-
-
-ALGORITHMS: Dict[str, Callable] = {
-    "ring": ring_all_reduce,
-    "rh": rh_all_reduce,
-    "tree": tree_all_reduce,
-}
-
-
-def expected_phases(algorithm: str, n: int) -> int:
-    """Synchronous phase count of one all-reduce by schedule: the ring
-    takes ``2(N-1)`` neighbor exchanges, recursive halving+doubling and
-    the binomial tree both take ``2*ceil(log2 N)``."""
-    if algorithm == "ring":
-        return 2 * (n - 1)
-    log = max(1, (n - 1).bit_length())
-    return 2 * log
-
-
-def expected_steps(algorithm: str, n: int) -> int:
-    """Exact MAX per-rank send count of one all-reduce by schedule —
-    the parameterized version of the old hard-coded ``2(N-1)`` ring
-    invariant.  ``rh``/``tree`` counts assume a power-of-two N."""
-    if algorithm == "ring":
-        return 2 * (n - 1)
-    log = max(1, (n - 1).bit_length())
-    if algorithm == "rh":
-        return 2 * log
-    if algorithm == "tree":
-        # Rank 0 sends to every bcast child (log of them); every other
-        # rank sends once up plus its own children — also <= log.
-        return log
-    raise NetworkError(f"unknown algorithm {algorithm!r}")
+    def run(self, ops):
+        """Process fragment: interpret one rank's op script; returns
+        ``(result, sends)``.  The k-th message of an ordered ``(src,
+        dst)`` pair carries tag k and a recv takes the k-th message from
+        its peer, so schedules match exactly under any reordering and
+        across iterations.  Compute costs nothing: the fabric model
+        charges none."""
+        send, recv = self.send, self.recv
+        sent, received = self._sent, self._received
+        sends = 0
+        value = None
+        while True:
+            try:
+                op = ops.send(value)
+            except StopIteration as stop:
+                return stop.value, sends
+            kind = op[0]
+            value = None
+            if kind == "send":
+                peer = op[1]
+                tag = sent.get(peer, 0)
+                sent[peer] = tag + 1
+                yield from send(peer, op[2], tag)
+                sends += 1
+            elif kind == "recv":
+                peer = op[1]
+                tag = received.get(peer, 0)
+                received[peer] = tag + 1
+                value = yield from recv(peer, tag)
+            elif kind != "compute":
+                raise NetworkError(f"unknown op {kind!r}")
 
 
 @dataclass
@@ -318,16 +204,12 @@ def run_collective(instance: FabricInstance, algorithm: str,
     tracer wants causal flow events, so ``critpath`` can reconcile the
     measured per-iteration times exactly.
     """
-    try:
-        schedule = ALGORITHMS[algorithm]
-    except KeyError:
-        raise NetworkError(f"unknown algorithm {algorithm!r} "
-                           f"(one of {sorted(ALGORITHMS)})") from None
+    n = instance.n
+    elems = elems_per_rank * n
+    schedule = check_allreduce(algorithm, n, elems, NetworkError)
     reduce_op = resolve_reduce_op(op, NetworkError)
     sim = instance.sim
-    n = instance.n
     hosts = [FabricHost(instance, r) for r in range(n)]
-    elems = elems_per_rank * n
     inputs = [fabric_vector(r, n, elems) for r in range(n)]
     # Rank by rank, left to right with the same combiner: a pairwise
     # reduction (np.sum) would change the association order.
@@ -336,13 +218,13 @@ def run_collective(instance: FabricInstance, algorithm: str,
     steps: Dict[int, int] = {}
     times: List[float] = []
 
-    def rank_body(rank: int, it: int, tag0: int):
+    def rank_body(rank: int, it: int):
         trc = sim.tracer
         causal = trc.enabled and trc.wants("causal")
         if causal:
             trc.flow_event("rank.begin", f"n{rank}", req=it)
-        out, nsteps = yield from schedule(hosts[rank], n, rank,
-                                          inputs[rank], reduce_op, tag0)
+        out, nsteps = yield from hosts[rank].run(
+            schedule(rank, n, inputs[rank], reduce_op))
         finals[rank] = out
         steps[rank] = max(steps.get(rank, 0), nsteps)
         if causal:
@@ -351,12 +233,11 @@ def run_collective(instance: FabricInstance, algorithm: str,
     def driver():
         trc = sim.tracer
         causal = trc.enabled and trc.wants("causal")
-        tag0 = 0
         for it in range(iterations):
             t0 = sim.now
             if causal:
                 trc.flow_event("req.begin", "driver", req=it)
-            procs = [sim.process(rank_body(r, it, tag0),
+            procs = [sim.process(rank_body(r, it),
                                  name=f"coll.it{it}.r{r}")
                      for r in range(n)]
             # AllOf instead of yielding each process: joining hundreds of
@@ -366,7 +247,6 @@ def run_collective(instance: FabricInstance, algorithm: str,
             times.append(sim.now - t0)
             if causal:
                 trc.flow_event("req.end", "driver", req=it)
-            tag0 += 4 * n + 8           # fresh tag space per iteration
 
     # run_until_complete, not run(): the demux/router pumps never exit,
     # so a drained heap with them alive is normal termination here.
@@ -384,5 +264,5 @@ def run_collective(instance: FabricInstance, algorithm: str,
 
 
 __all__ = ["ALGORITHMS", "FABRIC_HEADER", "CollectiveResult", "FabricHost",
-           "expected_phases", "fabric_vector", "run_collective",
-           "ring_all_reduce", "rh_all_reduce", "tree_all_reduce"]
+           "expected_phases", "expected_steps", "fabric_vector",
+           "run_collective"]

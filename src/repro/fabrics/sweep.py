@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..sim import Simulator
-from .collective import (CollectiveResult, expected_phases, expected_steps,
-                         run_collective)
+from ..collectives.schedules import expected_phases, expected_steps
+from .collective import CollectiveResult, run_collective
 from .topology import TOPOLOGY_KINDS, FabricConfig, build_topology
 from .traffic import run_permutation
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cluster import build_extoll_cluster
-from ..collectives.algorithms import _unpack, exact_match
+from ..collectives.schedules import _unpack, exact_match
 from ..collectives.bench import build_communicator, run_collective, vector
 from ..collectives.comm import CollectiveMode
 from ..core.results import LatencyPoint
@@ -145,7 +145,7 @@ def run_mpi_allreduce(nodes: int, size: int, iterations: int = 4,
     reconcile: NIC chain counters vs ``phase`` span totals vs the
     LatencyPoint must agree to ``reconcile_tolerance``.  ``algorithm``
     picks the staged schedule (``ring``/``rh``/``tree``); the non-ring
-    schedules exchange with ``rank ^ dist`` partners and so wire
+    schedules exchange with hypercube partners and so wire
     all-pairs connectivity with slots sized for their largest message."""
     if nodes < 2 or size < 8 or size % 8:
         raise MpiError("need nodes >= 2 and a size that is a multiple of 8")

@@ -23,6 +23,7 @@ import json
 from typing import Dict, List, Tuple
 
 from ..collectives.comm import CollectiveMode
+from ..collectives.schedules import SCHEDULES
 from ..engine import batched_mmio_floor
 from ..obs.export import write_chrome_trace
 from ..obs.tracer import SpanTracer
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=4,
                         help="measured rounds (default: 4)")
     parser.add_argument("--algorithm", default="ring",
-                        choices=("ring", "rh", "tree"),
+                        choices=tuple(SCHEDULES),
                         help="iallreduce schedule: ring 2(N-1), recursive "
                              "halving 2*log2 N, binomial tree "
                              "(default: ring)")

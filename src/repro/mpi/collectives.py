@@ -8,19 +8,17 @@ and returns.  Every hop therefore runs entirely inside NIC completion
 callbacks — the host never polls, and the only work between messages is
 the triggered layer arming the next pre-staged chain.
 
-The algorithms mirror :mod:`repro.collectives.algorithms` step for step
-(same ring schedule, same chunk indexing, same reduction association
-order), so an ``iallreduce`` here is bit-exact against PR 2's
-``ring_all_reduce`` for the same input vector.
+``iallreduce`` stages the op scripts of :mod:`repro.collectives.schedules`
+through :func:`mpi_ops` — the same schedules, chunk indexing and
+reduction association order as every other stack, so it is bit-exact
+against the msglib ``ring_all_reduce`` for the same input vector.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
-from ..collectives.algorithms import F8, _pack, _unpack, resolve_reduce_op
+from ..collectives.schedules import _pack, check_allreduce, resolve_reduce_op
 from ..errors import MpiError
 from .comm import MpiCommunicator, MpiRank
 from .request import MpiRequest
@@ -65,11 +63,50 @@ def _pump(comm: MpiCommunicator, gen, req: MpiRequest) -> None:
                 item.done.add_callback(lambda _ev, it=item: step(it.data))
                 return
             # A float is a compute charge (reduction arithmetic).
-            sim.call_later(float(item), step,
-                           name=f"mpi:compute:{req.kind}:{req.rank}")
+            sim.call_later(float(item), step)
             return
 
     step()
+
+
+def mpi_ops(rank: MpiRank, ops, tag: int):
+    """Translate an op script (the vocabulary of
+    :mod:`repro.collectives.schedules`) into the pump vocabulary:
+    ``MpiRequest`` yields and float compute charges.  Returns the
+    script's result.
+
+    Sends are posted without waiting and drained at script end —
+    rendezvous sends only complete once the peer's matching receive
+    produces the CTS, so awaiting them inline would deadlock symmetric
+    exchange patterns.
+    """
+    per_instr = rank.node.gpu.config.instruction_time
+    isend, irecv = rank.isend, rank.irecv
+    trc = rank.comm.sim.tracer
+    sends: List[MpiRequest] = []
+    value = None
+    while True:
+        try:
+            op = ops.send(value)
+        except StopIteration as stop:
+            result = stop.value
+            break
+        kind = op[0]
+        if kind == "recv":
+            value = yield irecv(source=op[1], tag=tag)
+            continue
+        value = None
+        if kind == "send":
+            sends.append(isend(op[1], op[2], tag=tag))
+        elif kind == "compute":
+            yield op[1] * per_instr
+            if trc.wants("causal"):
+                trc.flow_event("cmp", f"n{rank.rank}", instr=op[1])
+        else:
+            raise MpiError(f"unknown op {kind!r}")
+    for sreq in sends:
+        yield sreq
+    return result
 
 
 # -- the collectives -------------------------------------------------------------
@@ -116,145 +153,30 @@ def ibcast(comm: MpiCommunicator, rank: MpiRank,
     return req
 
 
-#: The all-reduce schedules :func:`iallreduce` can stage.
-ALLREDUCE_ALGORITHMS = ("ring", "rh", "tree")
-
-
 def iallreduce(comm: MpiCommunicator, rank: MpiRank,
                values: List[float], op: str = "sum",
                algorithm: str = "ring") -> MpiRequest:
     """Nonblocking all-reduce of a float64 vector; ``req.data`` holds the
     packed result (``struct '<{n}d'``, same as PR 2's collectives).
 
-    ``algorithm`` picks the chain DAG that gets staged:
-
-    * ``"ring"`` — ``ring_all_reduce``'s schedule verbatim: reduce-scatter
-      then all-gather, ``2*(N-1)`` steps;
-    * ``"rh"`` — recursive halving/doubling, ``2*log2 N`` pairwise
-      exchange phases (power-of-two N);
-    * ``"tree"`` — binomial reduce to rank 0 + binomial broadcast,
-      ``2*ceil(log2 N)`` phases of full-vector messages.
-
-    All three apply the reduction (any ``op`` from
-    :data:`~repro.collectives.algorithms.REDUCE_OPS`) in the identical
-    ``op(owned, incoming)`` association order as their PR 2 counterparts,
-    so results are bit-exact across layers AND across algorithms for
-    integer-valued inputs.
-
-    Rendezvous deadlock avoidance is uniform: a send only finishes once
-    the peer's matching receive produced the CTS, so every schedule posts
-    its ``isend`` without waiting, blocks on the ``irecv``, and drains
-    the send requests at the end.
+    ``algorithm`` picks the :data:`~repro.collectives.schedules.SCHEDULES`
+    entry whose chain DAG gets staged: ``"ring"`` (``2*(N-1)`` steps),
+    ``"rh"`` (``2*log2 N`` pairwise phases, power-of-two N) or ``"tree"``
+    (binomial reduce + broadcast).  Every ``op`` from
+    :data:`~repro.collectives.schedules.REDUCE_OPS` is applied in the
+    schedule's fixed ``op(owned, incoming)`` order, so results are
+    bit-exact across layers AND across algorithms for integer-valued
+    inputs.
     """
-    n = rank.size
     combine = resolve_reduce_op(op, MpiError)
-    if algorithm not in ALLREDUCE_ALGORITHMS:
-        raise MpiError(f"unknown all-reduce algorithm {algorithm!r} "
-                       f"(choose from: {', '.join(ALLREDUCE_ALGORITHMS)})")
-    if not len(values) or len(values) % n:
-        raise MpiError(
-            f"all-reduce vector length {len(values)} must be a positive "
-            f"multiple of the {n} ranks")
-    if algorithm == "rh" and n & (n - 1):
-        raise MpiError(f"recursive halving needs a power-of-two rank "
-                       f"count, got {n}")
+    schedule = check_allreduce(algorithm, rank.size, len(values), MpiError)
     tag = _coll_tag(rank)
     req = MpiRequest(comm.sim, "allreduce", rank.rank)
-    chunk_len = len(values) // n
-    per_instr = rank.node.gpu.config.instruction_time
 
-    def ring_body():
-        chunks = np.array(values, dtype=F8).reshape(n, chunk_len)
-        sends = []
-        for s in range(n - 1):
-            send_idx = (rank.rank - s) % n
-            recv_idx = (rank.rank - s - 1) % n
-            sends.append(rank.isend(rank.next, _pack(chunks[send_idx]),
-                                    tag=tag))
-            incoming = _unpack((yield rank.irecv(source=rank.prev,
-                                                 tag=tag)))
-            yield 2 * chunk_len * per_instr     # fused combine of one chunk
-            chunks[recv_idx] = combine(chunks[recv_idx], incoming)
-        for s in range(n - 1):
-            send_idx = (rank.rank + 1 - s) % n
-            recv_idx = (rank.rank - s) % n
-            sends.append(rank.isend(rank.next, _pack(chunks[send_idx]),
-                                    tag=tag))
-            chunks[recv_idx] = _unpack((yield rank.irecv(source=rank.prev,
-                                                         tag=tag)))
-        for sreq in sends:
-            yield sreq
-        return _pack(chunks)
-
-    def rh_body():
-        out = np.array(values, dtype=F8)
-        sends = []
-        lo, hi = 0, len(out)            # this rank's active window
-        dist = n // 2
-        while dist >= 1:                # reduce-scatter, halving
-            partner = rank.rank ^ dist
-            mid = (lo + hi) // 2
-            if rank.rank & dist:        # I keep the upper half
-                send_lo, send_hi, keep_lo, keep_hi = lo, mid, mid, hi
-            else:
-                send_lo, send_hi, keep_lo, keep_hi = mid, hi, lo, mid
-            sends.append(rank.isend(partner, _pack(out[send_lo:send_hi]),
-                                    tag=tag))
-            incoming = _unpack((yield rank.irecv(source=partner, tag=tag)))
-            yield 2 * len(incoming) * per_instr
-            out[keep_lo:keep_hi] = combine(out[keep_lo:keep_hi], incoming)
-            lo, hi = keep_lo, keep_hi
-            dist //= 2
-        dist = 1
-        while dist < n:                 # allgather, doubling (mirror)
-            partner = rank.rank ^ dist
-            sends.append(rank.isend(partner, _pack(out[lo:hi]), tag=tag))
-            incoming = _unpack((yield rank.irecv(source=partner, tag=tag)))
-            if rank.rank & dist:        # partner held the half below mine
-                out[2 * lo - hi:lo] = incoming
-                lo = 2 * lo - hi
-            else:
-                out[hi:2 * hi - lo] = incoming
-                hi = 2 * hi - lo
-            dist *= 2
-        for sreq in sends:
-            yield sreq
+    def body():
+        out = yield from mpi_ops(
+            rank, schedule(rank.rank, rank.size, values, combine), tag)
         return _pack(out)
 
-    def tree_body():
-        out = np.asarray(values, dtype=F8)
-        sends = []
-        mask = 1
-        while mask < n:                 # binomial reduce toward rank 0
-            if rank.rank & mask:
-                sends.append(rank.isend(rank.rank ^ mask, _pack(out),
-                                        tag=tag))
-                break                   # my subtree went up; wait for bcast
-            src = rank.rank | mask
-            if src < n:
-                incoming = _unpack((yield rank.irecv(source=src, tag=tag)))
-                yield 2 * len(incoming) * per_instr
-                out = combine(out, incoming)
-            mask <<= 1
-        recv_mask = rank.rank & -rank.rank if rank.rank else 0
-        if rank.rank != 0:
-            out = _unpack((yield rank.irecv(source=rank.rank ^ recv_mask,
-                                            tag=tag)))
-        m = recv_mask >> 1
-        if rank.rank == 0:
-            m = 1
-            while m < n:
-                m <<= 1
-            m >>= 1
-        while m >= 1:                   # broadcast down, widest subtree first
-            child = rank.rank | m
-            if child < n and child != rank.rank:
-                sends.append(rank.isend(child, _pack(out), tag=tag))
-            m >>= 1
-        for sreq in sends:
-            yield sreq
-        return _pack(out)
-
-    bodies = {"ring": ring_body, "rh": rh_body, "tree": tree_body}
-    _pump(comm, bodies[algorithm](), req)
+    _pump(comm, body(), req)
     return req

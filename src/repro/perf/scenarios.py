@@ -480,7 +480,7 @@ def workload_kvcache() -> ScenarioResult:
            "bit-exact across schedules, step counts at closed form")
 def fabric_allreduce() -> ScenarioResult:
     from ..fabrics import build_topology, instantiate
-    from ..fabrics.collective import expected_phases, expected_steps
+    from ..collectives.schedules import expected_phases, expected_steps
     from ..fabrics.collective import run_collective as run_fabric
 
     res = ScenarioResult()

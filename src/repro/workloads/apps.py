@@ -20,7 +20,8 @@ The four patterns are the ones the *GPU-centric Communication Schemes*
 survey (arXiv:2503.24230) names as the service-scale stressors:
 
 * ``trainstep`` — data-parallel training step: exposed (non-overlapped)
-  gradient compute followed by a ring all-reduce, PR 2's exact schedule.
+  gradient compute followed by the shared ring all-reduce schedule
+  (:func:`repro.collectives.schedules.ring`).
 * ``moe``       — mixture-of-experts all-to-all: token dispatch to every
   peer, expert compute, combine back along the reverse paths.
 * ``kvcache``   — prefill→decode KV-cache handover: large asymmetric
@@ -37,13 +38,9 @@ from typing import Callable, Dict, Generator
 
 import numpy as np
 
-from ..collectives.algorithms import (F8, REDUCE_OPS, _pack, _unpack,
-                                      exact_match)
+from ..collectives import schedules
+from ..collectives.schedules import F8, _pack, _unpack, exact_match
 from ..errors import BenchmarkError
-
-#: Instructions charged per reduced element (fused multiply-add idiom used
-#: by the PR 2 collectives).
-_INSTR_PER_ELEMENT = 2
 
 #: The 8-byte ack a decode node returns after absorbing a KV handover.
 _ACK = bytes(range(8))
@@ -92,29 +89,6 @@ class Workload:
 # trainstep — all-reduce dominated, compute/comm overlap knob
 # =============================================================================
 
-def _allreduce_ops(req: int, rank: int, nodes: int, size: int,
-                   op: str = "sum"):
-    """PR 2's ring all-reduce schedule in op-vocabulary form: identical
-    chunking, identical ``op(owned, incoming)`` association order."""
-    combine = REDUCE_OPS[op]
-    chunks = grad_vector(req, rank, nodes * (size // 8)).reshape(nodes, -1)
-    chunk_len = chunks.shape[1]
-    nxt, prv = (rank + 1) % nodes, (rank - 1) % nodes
-    for s in range(nodes - 1):
-        send_idx = (rank - s) % nodes
-        recv_idx = (rank - s - 1) % nodes
-        yield ("send", nxt, _pack(chunks[send_idx]))
-        incoming = _unpack((yield ("recv", prv)))
-        yield ("compute", _INSTR_PER_ELEMENT * chunk_len)
-        chunks[recv_idx] = combine(chunks[recv_idx], incoming)
-    for s in range(nodes - 1):
-        send_idx = (rank + 1 - s) % nodes
-        recv_idx = (rank - s) % nodes
-        yield ("send", nxt, _pack(chunks[send_idx]))
-        chunks[recv_idx] = _unpack((yield ("recv", prv)))
-    return chunks.ravel().tolist()
-
-
 def _verify_allreduce(req: int, rank: int, nodes: int, size: int,
                       result: object) -> bool:
     """Exact check of a rank's ring all-reduce result: the left-to-right
@@ -133,8 +107,9 @@ def _trainstep(compute_instr: int, overlap: float) -> Workload:
         # front of it.
         if exposed:
             yield ("compute", exposed)
-        result = yield from _allreduce_ops(req, rank, nodes, size)
-        return result
+        result = yield from schedules.ring(
+            rank, nodes, grad_vector(req, rank, nodes * (size // 8)), np.add)
+        return result.tolist()
 
     return Workload(
         name="trainstep",
@@ -326,8 +301,9 @@ def _allreduce(skew_rank: int, skew_instr: int) -> Workload:
     def script(req: int, rank: int, nodes: int, size: int):
         if rank == skew_rank and skew_instr:
             yield ("compute", skew_instr)
-        result = yield from _allreduce_ops(req, rank, nodes, size)
-        return result
+        result = yield from schedules.ring(
+            rank, nodes, grad_vector(req, rank, nodes * (size // 8)), np.add)
+        return result.tolist()
 
     return Workload(
         name="allreduce",
@@ -343,6 +319,11 @@ def _allreduce(skew_rank: int, skew_instr: int) -> Workload:
 # registry
 # =============================================================================
 
+#: Workload name -> builder taking the workload's knobs as keywords.
+_BUILDERS = {"trainstep": _trainstep, "moe": _moe, "kvcache": _kvcache,
+             "psfanin": _psfanin, "pingpong": _pingpong,
+             "allreduce": _allreduce}
+
 #: The suite with its default knobs, by name.
 WORKLOADS: Dict[str, Workload] = {
     w.name: w for w in (
@@ -357,29 +338,19 @@ WORKLOADS: Dict[str, Workload] = {
 
 
 def get_workload(name: str, **knobs) -> Workload:
-    """Resolve a workload by name; knob overrides rebuild it."""
+    """Resolve a workload by name; knob overrides rebuild it, every knob
+    not given keeping its :data:`WORKLOADS` default.  An unknown name or
+    a knob the workload does not have raises :class:`BenchmarkError`."""
     if name not in WORKLOADS:
         raise BenchmarkError(f"unknown workload {name!r} (choose from: "
                              f"{', '.join(sorted(WORKLOADS))})")
+    defaults = WORKLOADS[name].knobs
     if not knobs:
         return WORKLOADS[name]
-    builders = {
-        "trainstep": lambda: _trainstep(
-            compute_instr=int(knobs.get("compute_instr", 2000)),
-            overlap=float(knobs.get("overlap", 0.5))),
-        "moe": lambda: _moe(expert_instr=int(knobs.get("expert_instr",
-                                                       400))),
-        "kvcache": lambda: _kvcache(
-            kv_chunks=int(knobs.get("kv_chunks", 4)),
-            append_instr=int(knobs.get("append_instr", 100))),
-        "psfanin": lambda: _psfanin(
-            reduce_instr_per_el=int(knobs.get("reduce_instr_per_el", 2))),
-        "pingpong": lambda: _pingpong(
-            rounds=int(knobs.get("rounds", 4)),
-            skew_rank=int(knobs.get("skew_rank", -1)),
-            skew_instr=int(knobs.get("skew_instr", 0))),
-        "allreduce": lambda: _allreduce(
-            skew_rank=int(knobs.get("skew_rank", -1)),
-            skew_instr=int(knobs.get("skew_instr", 0))),
-    }
-    return builders[name]()
+    unknown = sorted(set(knobs) - set(defaults))
+    if unknown:
+        raise BenchmarkError(
+            f"workload {name!r} has no knob {', '.join(unknown)} (its "
+            f"knobs: {', '.join(sorted(defaults))})")
+    return _BUILDERS[name](**{k: type(v)(knobs.get(k, v))
+                              for k, v in defaults.items()})

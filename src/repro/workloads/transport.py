@@ -14,22 +14,25 @@ interpret the same script:
   isend/irecv over counter-fired descriptor chains, the CPU-free path.
 
 The first three ride PR 2's :class:`~repro.collectives.comm.Communicator`
-(the engine mode reuses its ``pollOnGPU`` channel wiring and replaces only
-the posting path).  Requests are launched *asynchronously* — completion
+and its op interpreter :func:`~repro.collectives.comm.run_ops` (the
+engine mode reuses the ``pollOnGPU`` channel wiring and replaces only the
+posting path); the ``mpi`` mode runs the script through
+:func:`~repro.mpi.collectives.mpi_ops`.  Requests are launched *asynchronously* — completion
 arrives via callback — which is what lets the open-loop generator keep
 issuing on the arrival clock instead of the completion clock.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from ..cluster import Cluster
-from ..collectives.comm import CollectiveMode, Communicator
+from ..collectives.comm import CollectiveMode, Communicator, run_ops
 from ..core.msglib import gpu_finish_send, gpu_stage_send
 from ..engine import DEFAULT_LANES, EngineStats, engine_post_batch
 from ..errors import BenchmarkError
-from ..mpi.collectives import _pump
+from ..mpi.collectives import _pump, mpi_ops
 from ..mpi.comm import MpiCommunicator, MpiConfig
 from ..mpi.envelope import ENVELOPE_BYTES
 from ..mpi.request import MpiRequest
@@ -140,8 +143,9 @@ class WorkloadTransport:
             if causal:
                 trc.flow_event("rank.begin", f"n{rc.rank}", req=req)
             gen = self.workload.script(req, rc.rank, self.nodes, self.size)
-            results[rc.rank] = yield from self._interpret(ctx, rc, gen,
-                                                          engine)
+            send = partial(self._engine_send, rc) if engine else None
+            results[rc.rank], _sends = yield from run_ops(ctx, rc, gen,
+                                                          send)
             if causal:
                 trc.flow_event("rank.end", f"n{rc.rank}", req=req)
 
@@ -156,33 +160,7 @@ class WorkloadTransport:
         for handle in handles:
             handle.add_callback(one_done)
 
-    def _interpret(self, ctx, rc, gen, engine: bool):
-        """Drive one rank's op script over RankComm primitives."""
-        value = None
-        while True:
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            kind = op[0]
-            if kind == "send":
-                if engine:
-                    yield from self._engine_send(ctx, rc, op[1], op[2])
-                else:
-                    yield from rc.send(ctx, op[1], op[2])
-                value = None
-            elif kind == "recv":
-                value = yield from rc.recv(ctx, op[1])
-            elif kind == "compute":
-                yield from rc.compute(ctx, op[1])
-                trc = ctx.sim.tracer
-                if trc.wants("causal"):
-                    trc.flow_event("cmp", f"n{rc.rank}", instr=op[1])
-                value = None
-            else:
-                raise BenchmarkError(f"unknown workload op {kind!r}")
-
-    def _engine_send(self, ctx, rc, peer: int, data: bytes):
+    def _engine_send(self, rc, ctx, peer: int, data: bytes):
         """msglib send with the offload engine posting the put: stage the
         slot, then one warp-parallel descriptor batch + count doorbell."""
         end = rc.send_end(peer)
@@ -227,43 +205,7 @@ class WorkloadTransport:
             mreq.done.add_callback(
                 lambda _ev, r=rank.rank, q=mreq: one_done(r, q))
             gen = self.workload.script(req, rank.rank, self.nodes, self.size)
-            _pump(self.mpi, self._mpi_adapter(rank, gen, tag), mreq)
-
-    def _mpi_adapter(self, rank, gen, tag: int):
-        """Translate op words into the MPI layer's pump vocabulary
-        (MpiRequest yields and float compute charges).
-
-        Sends are posted without waiting and drained at script end —
-        rendezvous sends only complete once the peer's matching receive
-        produces the CTS, so awaiting them inline would deadlock symmetric
-        exchange patterns (the same discipline as the MPI collectives).
-        """
-        per_instr = rank.node.gpu.config.instruction_time
-        trc = self.sim.tracer
-        sends: List[MpiRequest] = []
-        value = None
-        while True:
-            try:
-                op = gen.send(value)
-            except StopIteration as stop:
-                result = stop.value
-                break
-            kind = op[0]
-            if kind == "send":
-                sends.append(rank.isend(op[1], op[2], tag=tag))
-                value = None
-            elif kind == "recv":
-                value = yield rank.irecv(source=op[1], tag=tag)
-            elif kind == "compute":
-                yield op[1] * per_instr
-                if trc.wants("causal"):
-                    trc.flow_event("cmp", f"n{rank.rank}", instr=op[1])
-                value = None
-            else:
-                raise BenchmarkError(f"unknown workload op {op[0]!r}")
-        for sreq in sends:
-            yield sreq
-        return result
+            _pump(self.mpi, mpi_ops(rank, gen, tag), mreq)
 
 
 __all__ = ["MODES", "WorkloadTransport"]

@@ -91,3 +91,20 @@ def test_cli_wrong_straggler_expectation_exits_2(capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "FAIL" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    # moe has no skew knobs: the skew must not be dropped silently.
+    ["workloads", "--workload", "moe", "--skew", "1:5000"],
+    ["workloads", "--workload", "nosuch"],
+    ["allreduce", "--skew", "bad"],
+    # N=4: rank 4 does not exist, so the skew would be a no-op.
+    ["allreduce", "--skew", "4:5000"],
+], ids=["knobless-workload", "unknown-workload", "malformed-skew",
+        "rank-out-of-range"])
+def test_cli_bad_inputs_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        critpath_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err

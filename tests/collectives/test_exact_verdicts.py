@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from repro.collectives.algorithms import exact_match
+from repro.collectives.schedules import exact_match
 from repro.collectives.bench import _verify, vector
 from repro.workloads import WORKLOADS
 from repro.workloads.apps import grad_vector

@@ -11,12 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.collectives import CollectiveMode, build_communicator
-from repro.collectives.algorithms import (
-    REDUCE_OPS,
-    _unpack,
-    resolve_reduce_op,
-    ring_all_reduce,
-)
+from repro.collectives.algorithms import ring_all_reduce
+from repro.collectives.schedules import REDUCE_OPS, _unpack, resolve_reduce_op
 from repro.collectives.bench import vector
 from repro.errors import BenchmarkError
 from repro.mpi import MpiCommunicator, MpiConfig, iallreduce

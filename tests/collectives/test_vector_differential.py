@@ -14,7 +14,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.algorithms import F8, REDUCE_OPS, _pack, _unpack
+from repro.collectives.schedules import F8, REDUCE_OPS, _pack, _unpack
 from repro.collectives.bench import vector
 from repro.fabrics.collective import fabric_vector
 from repro.workloads.apps import expert_transform, grad_vector, payload

@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from repro.collectives.algorithms import REDUCE_OPS
+from repro.collectives.schedules import REDUCE_OPS
 from repro.errors import NetworkError
 from repro.fabrics import build_topology, instantiate, run_collective
 from repro.fabrics.collective import (ALGORITHMS, expected_phases,

@@ -9,7 +9,8 @@ import pytest
 
 from repro.cluster import build_extoll_cluster
 from repro.collectives import CollectiveMode, build_communicator
-from repro.collectives.algorithms import _unpack, ring_all_reduce
+from repro.collectives.algorithms import ring_all_reduce
+from repro.collectives.schedules import _unpack
 from repro.collectives.bench import vector
 from repro.mpi import MpiCommunicator, MpiConfig, iallreduce, ibarrier, ibcast
 from repro.sim import Simulator

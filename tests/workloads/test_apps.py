@@ -39,6 +39,23 @@ def test_get_workload_unknown_name():
         get_workload("btree")
 
 
+def test_get_workload_rejects_unknown_knobs():
+    with pytest.raises(BenchmarkError, match="expert_instr") as exc:
+        get_workload("moe", skew_rank=1, skew_instr=5000)
+    assert "skew_instr" in str(exc.value)
+
+
+def test_get_workload_defaults_come_from_the_registry():
+    """An override rebuilds the workload with every other knob at its
+    registered default."""
+    for name, workload in WORKLOADS.items():
+        knob, default = next(iter(workload.knobs.items()))
+        rebuilt = get_workload(name, **{knob: default})
+        assert rebuilt.knobs == workload.knobs
+    assert get_workload("pingpong", rounds=2).knobs == {
+        **WORKLOADS["pingpong"].knobs, "rounds": 2}
+
+
 def test_knob_overrides_change_the_workload():
     """A zero-overlap training step exposes its full compute charge, so
     its service time must exceed the fully-overlapped variant's."""
