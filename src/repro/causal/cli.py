@@ -111,6 +111,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     size = args.size if args.size is not None else size
     if args.modes:
         modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
+    unknown = [m for m in modes if m not in MODES]
+    if unknown or not modes:
+        parser.error(f"--modes: unknown mode(s) {', '.join(unknown)} "
+                     f"(choose from: {', '.join(MODES)})")
+    if args.requests < 1:
+        parser.error(f"--requests must be >= 1, got {args.requests}")
+    if size < 8 or size % 8:
+        parser.error(f"--size must be a positive multiple of 8, got {size}")
     knobs = {}
     if args.skew:
         try:
@@ -125,6 +133,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         workload = get_workload(name, **knobs)
     except BenchmarkError as exc:
         parser.error(str(exc))
+    least = max(2, workload.min_nodes)  # a cluster is at least a pair
+    if nodes < least:
+        parser.error(f"--nodes must be >= {least} for {name!r}, got {nodes}")
 
     report: dict = {"scenario": args.scenario, "workload": name,
                     "nodes": nodes, "size": size,

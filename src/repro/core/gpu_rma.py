@@ -18,10 +18,13 @@ explicitly so ``instructions executed`` in Table I emerges from execution.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..errors import RmaError
 from ..extoll import Notification, NotificationCursor, RmaWorkRequest
 from ..gpu import ThreadCtx
 from ..sim import NULL_SPAN
+from ..sim.poll import GPU_POLL, poll
 
 # ALU instruction budgets (loads/stores add their own instruction counts).
 POST_ASSEMBLE_COST = 34        # pack the three descriptor words
@@ -68,30 +71,21 @@ def gpu_rma_wait_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor,
     a full PCIe round trip from the GPU's point of view.  Returns
     ``(Notification, polls)``.
     """
-    trc = ctx.sim.tracer
+    def read():
+        data = yield from ctx.load(cursor.slot_addr, 8)
+        yield from ctx.alu(POLL_LOOP_COST)
+        return int.from_bytes(data, "little")
+
     # Notification waits are the polling layer — one span per *wait*, but
     # there are as many waits as messages, so this is a microscopic
     # category ("rma.poll") that the telemetry flight recorder filters out
-    # by default; gate on wants() so the filtered case pays one check.
-    traced = trc.wants("rma.poll")
-    span = (trc.begin("rma.poll", "wait-notification", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        word0 = yield from ctx.load_u64(cursor.slot_addr)
-        polls += 1
-        yield from ctx.alu(POLL_LOOP_COST)
-        if Notification.is_valid_word(word0):
-            break
-        if max_polls is not None and polls >= max_polls:
-            raise RmaError(f"GPU notification wait exceeded {max_polls} polls")
-        if polls > 64:  # long wait: progressive backoff (see ThreadCtx.spin_until_u64)
-            yield ctx.sim.timeout(min(1e-6 * (2 ** ((polls - 64) // 32)), 50e-6))
-    record = yield from _consume_notification(ctx, cursor)
-    span.end(polls=polls)
-    if traced:
-        trc.metrics.histogram("rma.notification_polls").observe(polls)
-    return record, polls
+    # by default; poll() gates on wants() so the filtered case pays one check.
+    return poll(
+        ctx.sim, read, Notification.is_valid_word, GPU_POLL, max_polls,
+        lambda: RmaError(f"GPU notification wait exceeded {max_polls} polls"),
+        category="rma.poll", name="wait-notification", track=ctx.track,
+        histogram="rma.notification_polls",
+        then=partial(_consume_notification, ctx, cursor))
 
 
 def _consume_notification(ctx: ThreadCtx, cursor: GpuNotificationCursor):

@@ -21,11 +21,13 @@ cannot be parallelized" (§V-B3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..errors import VerbsError
 from ..gpu import ThreadCtx
 from ..ib import CQE_BYTES, Cqe, Wqe
 from ..sim import NULL_SPAN
+from ..sim.poll import GPU_POLL, poll
 from ..ib.hca import Hca, encode_doorbell
 from ..ib.qp import QueuePair
 from ..ib.wqe import (
@@ -129,25 +131,14 @@ def gpu_wait_cq(ctx: ThreadCtx, consumer: GpuCqConsumer,
                 max_polls: int | None = 1_000_000):
     """Spin :func:`gpu_poll_cq` until a completion arrives.  Returns
     ``(Cqe, polls)``."""
-    trc = ctx.sim.tracer
     # Polling layer ("ib.poll"): per-message span volume, filtered out of
     # the telemetry flight recorder by default (see gpu_rma_wait_notification).
-    traced = trc.wants("ib.poll")
-    span = (trc.begin("ib.poll", "gpu_wait_cq", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        cqe = yield from gpu_poll_cq(ctx, consumer)
-        polls += 1
-        if cqe is not None:
-            span.end(polls=polls)
-            if traced:
-                trc.metrics.histogram("ib.gpu_cq_polls").observe(polls)
-            return cqe, polls
-        if max_polls is not None and polls >= max_polls:
-            raise VerbsError(f"GPU CQ wait exceeded {max_polls} polls")
-        if polls > 64:  # long wait: progressive backoff
-            yield ctx.sim.timeout(min(1e-6 * (2 ** ((polls - 64) // 32)), 50e-6))
+    return poll(
+        ctx.sim, partial(gpu_poll_cq, ctx, consumer),
+        lambda cqe: cqe is not None, GPU_POLL, max_polls,
+        lambda: VerbsError(f"GPU CQ wait exceeded {max_polls} polls"),
+        category="ib.poll", name="gpu_wait_cq", track=ctx.track,
+        histogram="ib.gpu_cq_polls")
 
 
 def gpu_poll_last_element(ctx: ThreadCtx, flag_addr: int, expected: int,

@@ -9,12 +9,14 @@ uncached MMIO with write-combining cost.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Generator, Optional
 
 from ..errors import ConfigError
 from ..memory import Memory
 from ..pcie import PciePort
 from ..sim import Process, Simulator
+from ..sim.poll import HOST_POLL, poll
 from .config import CpuConfig
 
 
@@ -51,9 +53,6 @@ class Cpu:
         self.threads_spawned += 1
         ctx = HostThread(self, track=name or f"{self.name}.t{self.threads_spawned}")
         return self.sim.process(fn(ctx), name=name or f"{self.name}.t{self.threads_spawned}")
-
-    def thread_ctx(self) -> "HostThread":
-        return HostThread(self)
 
 
 class HostThread:
@@ -114,32 +113,22 @@ class HostThread:
 
     # -- polling -----------------------------------------------------------------
     def spin_until_u64(self, addr: int, predicate: Callable[[int], bool],
-                       max_polls: Optional[int] = None,
-                       backoff_after: int = 256,
-                       backoff_base: float = 0.2e-6,
-                       backoff_max: float = 20e-6) -> Generator:
+                       max_polls: Optional[int] = None) -> Generator:
         """Poll a host-memory u64 until ``predicate`` holds.
 
         Polling a host-memory line is nearly free on the CPU (it stays in the
         LLC until a DMA write invalidates it), which is why CPU-controlled
         completion detection wins in the paper.  Returns (value, polls).
-        Long waits back off progressively (PAUSE-loop style) to bound event
-        counts on multi-millisecond transfers.
+        Long waits back off on the :data:`~repro.sim.poll.HOST_POLL` ladder
+        (PAUSE-loop style) to bound event counts on multi-millisecond
+        transfers.
         """
-        cached = self._is_host(addr, 8)
-        polls = 0
-        while True:
-            if cached:
+        if self._is_host(addr, 8):
+            def read():
                 yield self.sim.timeout(self.cpu.config.cached_poll_latency)
-                value = self.cpu.host_mem.read_u64(addr)
-            else:
-                value = yield from self.read_u64(addr)
-            polls += 1
-            if predicate(value):
-                return value, polls
-            if max_polls is not None and polls >= max_polls:
-                raise ConfigError(f"spin at {addr:#x} exceeded {max_polls} polls")
-            if polls > backoff_after:
-                over = polls - backoff_after
-                delay = min(backoff_base * (2 ** (over // 64)), backoff_max)
-                yield self.sim.timeout(delay)
+                return self.cpu.host_mem.read_u64(addr)
+        else:
+            read = partial(self.read_u64, addr)
+        return poll(
+            self.sim, read, predicate, HOST_POLL, max_polls,
+            lambda: ConfigError(f"spin at {addr:#x} exceeded {max_polls} polls"))

@@ -208,6 +208,11 @@ def main(argv=None) -> int:
 
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
     conn_counts = QUICK_CONNECTIONS if args.quick else FULL_CONNECTIONS
+    for flag, value, least in (("--per-connection", args.per_connection, 1),
+                               ("--iterations", args.iterations, 1),
+                               ("--warmup", args.warmup, 0)):
+        if value is not None and value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
     per_connection = args.per_connection or (30 if args.quick else 60)
     iterations = args.iterations or (20 if args.quick else 30)
 

@@ -13,10 +13,12 @@ point of the paper is precisely how differently these two callers perform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..cpu import HostThread
 from ..errors import RmaError
 from ..sim import NULL_SPAN
+from ..sim.poll import HOST_POLL, poll
 from .descriptor import RmaWorkRequest
 from .notification import Notification, NotificationQueue
 
@@ -49,24 +51,21 @@ def rma_wait_notification(ctx: HostThread, cursor: NotificationCursor,
                           max_polls: int | None = 2_000_000):
     """Spin on the next queue slot until its valid bit is set, then consume
     and free it.  Returns the decoded :class:`Notification`."""
-    trc = ctx.sim.tracer
     # Polling layer (see gpu_rma_wait_notification): per-message span
     # volume, filtered out of the flight recorder by default.
-    traced = trc.wants("rma.poll")
-    span = (trc.begin("rma.poll", "wait-notification", track=ctx.track)
-            if traced else NULL_SPAN)
-    polls = 0
-    while True:
-        word0 = yield from ctx.read_u64(cursor.slot_addr)
-        polls += 1
-        if Notification.is_valid_word(word0):
-            break
-        if max_polls is not None and polls >= max_polls:
-            span.end(polls=polls, error="poll budget exhausted")
-            raise RmaError(f"notification wait exceeded {max_polls} polls "
-                           f"on {cursor.queue.name}")
-        if polls > 256:  # long wait: progressive backoff
-            yield ctx.sim.timeout(min(0.2e-6 * (2 ** ((polls - 256) // 64)), 20e-6))
+    record, _polls = yield from poll(
+        ctx.sim, partial(ctx.read_u64, cursor.slot_addr),
+        Notification.is_valid_word, HOST_POLL, max_polls,
+        lambda: RmaError(f"notification wait exceeded {max_polls} polls "
+                         f"on {cursor.queue.name}"),
+        category="rma.poll", name="wait-notification", track=ctx.track,
+        histogram="rma.host_notification_polls",
+        then=partial(_consume_notification, ctx, cursor))
+    return record
+
+
+def _consume_notification(ctx: HostThread, cursor: NotificationCursor):
+    """Read, decode, and free the current slot; advance the cursor."""
     raw = yield from ctx.read(cursor.slot_addr, 16)
     record = Notification.decode(raw)
     # Free: reset both words to zero, then publish the new read pointer.
@@ -75,9 +74,6 @@ def rma_wait_notification(ctx: HostThread, cursor: NotificationCursor,
     cursor.read_index += 1
     yield from ctx.write_u32(cursor.queue.read_ptr_addr,
                              cursor.read_index % (1 << 32))
-    span.end(polls=polls)
-    if traced:
-        trc.metrics.histogram("rma.host_notification_polls").observe(polls)
     return record
 
 

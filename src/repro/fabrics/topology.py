@@ -13,7 +13,7 @@ module-level ``FORWARD_TIME`` constant became a per-link config field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import NetworkError
@@ -78,9 +78,6 @@ class FabricConfig:
         return NetLinkConfig(bandwidth=self.bandwidth, latency=latency,
                              forward_time=fwd, credits=self.credits,
                              vcs=self.vcs)
-
-    def without_flow(self) -> "FabricConfig":
-        return replace(self, credits=None)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from ..cluster import build_extoll_cluster, build_ib_cluster
 from ..core.modes import ExtollMode, IbMode
 from ..core.pingpong import run_extoll_pingpong, run_ib_pingpong
 from ..core.setup import setup_extoll_connection, setup_ib_connection
+from ..errors import BenchmarkError
 from ..sim import Simulator
 from .export import (
     chrome_trace_events,
@@ -105,8 +106,12 @@ def main(argv=None) -> int:
     categories = ([c.strip() for c in args.categories.split(",") if c.strip()]
                   if args.categories else None)
     tracer = SpanTracer(categories=categories)
-    tracer, point = run_traced_pingpong(args.fabric, args.mode, args.size,
-                                        args.iterations, args.warmup, tracer)
+    try:
+        tracer, point = run_traced_pingpong(args.fabric, args.mode, args.size,
+                                            args.iterations, args.warmup,
+                                            tracer)
+    except BenchmarkError as exc:
+        parser.error(str(exc))
 
     events = chrome_trace_events(tracer)
     validate_chrome_trace(events)

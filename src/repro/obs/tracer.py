@@ -281,9 +281,6 @@ class SpanTracer(Tracer):
     def spans_named(self, name: str) -> List[SpanRecord]:
         return [s for s in self.spans if s.name == name]
 
-    def spans_in(self, category: str) -> List[SpanRecord]:
-        return [s for s in self.spans if s.category == category]
-
     def children_of(self, span: SpanRecord) -> List[SpanRecord]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 

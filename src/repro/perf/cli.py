@@ -24,6 +24,7 @@ import json
 import os
 import sys
 
+from ..errors import BenchmarkError
 from .harness import check, record, render_reports
 from .profiler import profile_pingpong, render_profile
 from .scenarios import SCENARIOS, get_scenarios
@@ -46,9 +47,12 @@ def profile_main(argv=None) -> int:
                         help="also write the profile as JSON")
     args = parser.parse_args(argv)
 
-    profile = profile_pingpong(args.fabric, args.mode, args.size,
-                               iterations=args.iterations,
-                               warmup=args.warmup)
+    try:
+        profile = profile_pingpong(args.fabric, args.mode, args.size,
+                                   iterations=args.iterations,
+                                   warmup=args.warmup)
+    except BenchmarkError as exc:
+        parser.error(str(exc))
     print(render_profile(profile))
     if args.json:
         with open(args.json, "w") as fh:
@@ -106,6 +110,8 @@ def bench_main(argv=None) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    if args.dir is not None and not os.path.isdir(args.dir):
+        parser.error(f"--dir {args.dir}: no such directory")
     root = args.dir or _repo_root_default()
 
     if args.record:

@@ -346,6 +346,8 @@ def main(argv=None) -> int:
                         help="write timeseries.json, metrics.prom and "
                              "flight dumps under DIR")
     args = parser.parse_args(argv)
+    if not args.interval > 0:
+        parser.error(f"--interval must be > 0, got {args.interval}")
     args.connections = args.connections or (4 if args.quick else 8)
     args.per_connection = args.per_connection or (30 if args.quick else 60)
     args.iterations = args.iterations or (4 if args.quick else 10)

@@ -197,6 +197,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the triggered run as a Chrome trace")
     args = parser.parse_args(argv)
+    if args.nodes < 2:
+        parser.error(f"--nodes must be >= 2, got {args.nodes}")
 
     nodes = 2 if args.quick else args.nodes
     size = 256 if args.quick else args.size

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.errors import RmaError
 from repro.extoll import NotifyFlags, RmaOp, RmaUnitKind, RmaWorkRequest
+from repro.obs import SpanTracer
 from repro.units import KIB, US
 
 
@@ -95,6 +96,24 @@ def test_wait_notification_max_polls(testbed):
     assert not h.ok
     with pytest.raises(RmaError):
         raise h.value
+
+
+def test_wait_notification_max_polls_traced_closes_span(testbed):
+    cluster, conn = testbed
+    tracer = SpanTracer()
+    cluster.sim.set_tracer(tracer)
+
+    def kernel(ctx):
+        cursor = conn.a.requester_cursor()
+        yield from gpu_rma_wait_notification(ctx, cursor, max_polls=5)
+
+    h = conn.a.node.gpu.launch(kernel)
+    cluster.sim.run(until=cluster.sim.now + 500 * US)
+    with pytest.raises(RmaError, match="exceeded 5 polls"):
+        raise h.value
+    assert not [s for s in tracer.open_spans() if s.category == "rma.poll"]
+    (span,) = [s for s in tracer.spans if s.category == "rma.poll"]
+    assert span.attrs == {"polls": 5, "error": "poll budget exhausted"}
 
 
 def test_poll_last_element_sees_put(testbed):

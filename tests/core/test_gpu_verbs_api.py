@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.errors import VerbsError
 from repro.ib import IbOpcode, WcOpcode, WcStatus, Wqe
+from repro.obs import SpanTracer
 from repro.units import KIB, US
 
 
@@ -116,6 +117,23 @@ def test_gpu_wait_cq_max_polls(testbed):
     assert not h.ok
     with pytest.raises(VerbsError):
         raise h.value
+
+
+def test_gpu_wait_cq_max_polls_traced_closes_span(testbed):
+    cluster, conn, _loc = testbed
+    tracer = SpanTracer()
+    cluster.sim.set_tracer(tracer)
+
+    def kernel(ctx):
+        yield from gpu_wait_cq(ctx, conn.a.send_cq_consumer(), max_polls=4)
+
+    h = conn.a.node.gpu.launch(kernel)
+    cluster.sim.run(until=cluster.sim.now + 500 * US)
+    with pytest.raises(VerbsError, match="exceeded 4 polls"):
+        raise h.value
+    assert not [s for s in tracer.open_spans() if s.category == "ib.poll"]
+    (span,) = [s for s in tracer.spans if s.category == "ib.poll"]
+    assert span.attrs == {"polls": 4, "error": "poll budget exhausted"}
 
 
 def test_ping_pong_markers_via_poll_last_element(testbed):

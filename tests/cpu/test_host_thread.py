@@ -5,6 +5,7 @@ import pytest
 from repro.cpu import Cpu, CpuConfig
 from repro.errors import ConfigError
 from repro.memory import HOST_DRAM_BASE, MMIO_BASE
+from repro.obs import SpanTracer
 from repro.sim import join_result
 
 
@@ -146,3 +147,21 @@ def test_spin_max_polls(node):
     node.sim.run()
     with pytest.raises(ConfigError):
         join_result(proc)
+
+
+def test_spin_max_polls_traced_leaves_no_open_span(node):
+    tracer = SpanTracer()
+    node.sim.set_tracer(tracer)
+    cpu = make_cpu(node)
+
+    def body(ctx):
+        yield from ctx.spin_until_u64(HOST_DRAM_BASE, lambda v: v == 1,
+                                      max_polls=5)
+
+    proc = cpu.spawn(body)
+    node.sim.run()
+    with pytest.raises(ConfigError, match="exceeded 5 polls"):
+        join_result(proc)
+    # The host spin emits no span at all, so none can be left open.
+    assert not [s for s in tracer.open_spans()
+                if s.category in ("gpu.spin", "rma.poll", "ib.poll")]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import GpuError
 from repro.gpu.thread import ThreadCtx
 from repro.memory import HOST_DRAM_BASE, MMIO_BASE, AddressRange
+from repro.obs import SpanTracer
 from repro.sim import join_result
 
 
@@ -197,6 +198,25 @@ def test_spin_until_max_polls(node):
     node.sim.run()
     with pytest.raises(GpuError):
         join_result(proc)
+
+
+def test_spin_until_max_polls_traced_closes_span(node):
+    tracer = SpanTracer()
+    node.sim.set_tracer(tracer)
+    ctx = ctx_for(node)
+    buf = node.gpu.malloc(64)
+
+    def body():
+        yield from ctx.spin_until_u64(buf.base, lambda v: v == 1, max_polls=10)
+
+    proc = node.sim.process(body())
+    node.sim.run()
+    with pytest.raises(GpuError, match="exceeded 10 polls"):
+        join_result(proc)
+    assert not [s for s in tracer.open_spans() if s.category == "gpu.spin"]
+    (span,) = [s for s in tracer.spans if s.category == "gpu.spin"]
+    assert span.attrs == {"addr": hex(buf.base), "polls": 10,
+                          "error": "poll budget exhausted"}
 
 
 def test_sector_counting_for_wide_accesses(node):
